@@ -3,9 +3,8 @@
 //! hot path on a scaled-down model, and the FnPacker routing decision.
 //!
 //! These complement the per-figure benches: they measure the actual Rust
-//! implementations rather than the calibrated cost model, and cover the
-//! design choices DESIGN.md lists as ablations (key-cache policy, FnPacker
-//! release interval).
+//! implementations rather than the calibrated cost model, and include one
+//! design ablation (FnPacker's exclusivity release interval).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesemi::deployment::Deployment;
@@ -34,6 +33,18 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("aes128gcm_seal_64KiB", |b| {
         b.iter(|| gcm.seal(&nonce, &payload, b"model"))
     });
+    // The sizes the serving path seals and opens: a full-size MBNET request
+    // (about 4 KiB of features) and the 17 MB MBNET model itself (Table I).
+    for (size, bytes) in [("4KiB", 4 * 1024), ("17MB", 17_000_000)] {
+        let plaintext = vec![0xABu8; bytes];
+        let sealed = gcm.seal(&nonce, &plaintext, b"model");
+        group.bench_function(format!("aes128gcm_seal_{size}"), |b| {
+            b.iter(|| gcm.seal(&nonce, &plaintext, b"model"))
+        });
+        group.bench_function(format!("aes128gcm_open_{size}"), |b| {
+            b.iter(|| gcm.open(&nonce, &sealed, b"model").unwrap())
+        });
+    }
     let chacha = ChaCha20Poly1305::new(&key);
     group.bench_function("chacha20poly1305_seal_64KiB", |b| {
         b.iter(|| chacha.seal(&nonce, &payload, b"model"))

@@ -487,16 +487,7 @@ impl Deployment {
         model: &ModelId,
         features: &[f32],
     ) -> Result<InferenceOutcome, DeploymentError> {
-        let request_key = user
-            .request_keys
-            .get(&(model.clone(), function.measurement))
-            .cloned()
-            .ok_or_else(|| {
-                DeploymentError::NotAuthorized(format!(
-                    "{} holds no request key for {model}",
-                    user.name
-                ))
-            })?;
+        let (request, request_key) = self.seal_request(user, function, model, features)?;
         let functions = self.functions.lock();
         let deployed = functions
             .get(&function.id)
@@ -506,17 +497,34 @@ impl Deployment {
             deployed.next_worker.fetch_add(1, Ordering::SeqCst) % deployed.tcs_count.max(1);
         drop(functions);
 
-        let mut rng = SessionRng::from_seed(
-            u64::from_le_bytes(request_key.as_bytes()[..8].try_into().expect("8 bytes"))
-                ^ features.len() as u64,
-        );
-        let request =
-            InferenceRequest::encrypt(user.party, model.clone(), features, &request_key, &mut rng);
         let (response, report) = instance.handle_request(worker, &request)?;
         let prediction = response
             .decrypt(&request_key)
             .map_err(DeploymentError::from)?;
         Ok(InferenceOutcome { prediction, report })
+    }
+
+    /// Seals `features` under `user`'s request key for `(model, function)`
+    /// and returns the request with the key.  Each request seeds its nonce
+    /// from the deployment's generator, so no two requests under one key
+    /// share a nonce.
+    fn seal_request(
+        &self,
+        user: &UserHandle,
+        function: &FunctionHandle,
+        model: &ModelId,
+        features: &[f32],
+    ) -> Result<(InferenceRequest, AeadKey), DeploymentError> {
+        let request_key = user.request_key(model, function).cloned().ok_or_else(|| {
+            DeploymentError::NotAuthorized(format!(
+                "{} holds no request key for {model}",
+                user.name
+            ))
+        })?;
+        let mut rng = SessionRng::from_seed(self.rng.lock().next_u64());
+        let request =
+            InferenceRequest::encrypt(user.party, model.clone(), features, &request_key, &mut rng);
+        Ok((request, request_key))
     }
 
     /// Low-level access to a deployed SeMIRT instance (used by tests and
@@ -571,6 +579,21 @@ mod tests {
             .unwrap();
         user.authorize(&deployment, &model, &function).unwrap();
         (deployment, owner, user, model, function)
+    }
+
+    #[test]
+    fn requests_under_one_key_never_share_a_nonce() {
+        let (deployment, _owner, user, model, function) = setup();
+        let features = vec![0.3f32; deployment.model_input_dim(&model).unwrap()];
+        let seal = || {
+            deployment
+                .seal_request(&user, &function, &model, &features)
+                .unwrap()
+                .0
+        };
+        let (first, second) = (seal(), seal());
+        assert_eq!(first.payload.aad, second.payload.aad);
+        assert_ne!(first.payload.nonce, second.payload.nonce);
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! AES-128 block cipher (FIPS 197).
+//! AES-128 block cipher (FIPS 197), portable formulation.
 //!
 //! Only the forward cipher is implemented because GCM (CTR-based) never needs
 //! the inverse cipher.  The implementation is a straightforward S-box /
-//! MixColumns formulation; it favours clarity over speed, which is acceptable
-//! because bulk encryption of models happens off the latency-critical path and
-//! the simulator models full-scale costs separately.
+//! MixColumns formulation that favours clarity over speed: AES-128-GCM built
+//! on it runs at about 20 MB/s.  The serving path cannot afford that.  Every
+//! request is sealed by the client and opened in the enclave, and every cold
+//! start or model switch decrypts a whole model (17 MB for MBNET).  So
+//! [`Aes128Gcm`](crate::gcm::Aes128Gcm) runs on AES-NI where the CPU has it
+//! and uses this cipher only as the fallback elsewhere and as the reference
+//! its hardware backend is tested against.  The S-box lookups are indexed by
+//! key and data bytes; see the crate's security disclaimer.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;

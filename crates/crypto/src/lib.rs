@@ -10,7 +10,8 @@
 //!   measurement values, `MRENCLAVE`).
 //! * [`hmac`] / [`hkdf`] — keyed MACs and key derivation for session keys.
 //! * [`aes`] / [`gcm`] — AES-128 and AES-128-GCM authenticated encryption
-//!   (the paper's choice for model and request encryption).
+//!   (the paper's choice for model and request encryption), on AES-NI +
+//!   PCLMULQDQ where the CPU has them.
 //! * [`chacha20`] / [`poly1305`] / [`chacha20poly1305`] — an alternative AEAD
 //!   suite used for RA-TLS record protection.
 //! * [`x25519`] — Diffie–Hellman key agreement for the RA-TLS handshake.
@@ -22,9 +23,20 @@
 //! The implementations follow the published specifications (FIPS 180-4,
 //! RFC 2104, RFC 5869, NIST SP 800-38D, RFC 8439, RFC 7748) and are validated
 //! against the official test vectors in this crate's test-suite, but they have
-//! not been audited and make no claims about side-channel resistance beyond the
-//! constant-time tag comparisons.  They exist so the reproduction is fully
-//! self-contained, exactly like the paper's use of the SGX SDK crypto library.
+//! not been audited.  They exist so the reproduction is fully self-contained,
+//! exactly like the paper's use of the SGX SDK crypto library.
+//!
+//! AES-128-GCM has two backends with identical output.
+//! [`gcm::Aes128Gcm::new`] picks the hardware one on x86_64 CPUs that have
+//! AES-NI, PCLMULQDQ and SSSE3, and the portable one on every other CPU and
+//! target.  The hardware backend has no table lookup or branch that depends
+//! on the key or the data.  The portable backend has both: [`aes`] indexes
+//! its S-box by key and data bytes, and its bit-serial GHASH branches on the
+//! bits of the hash key and the data.
+//! Beyond that, the crate makes no claim about side-channel resistance except
+//! for its constant-time tag comparisons.  Side channels are outside the
+//! threat model, as in the paper (see `PAPER.md`).  The hardware backend is
+//! the crate's only `unsafe` code.
 //!
 //! ## Example
 //!
@@ -40,7 +52,8 @@
 //! assert_eq!(plaintext, b"model bytes");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aead;

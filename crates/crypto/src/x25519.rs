@@ -108,8 +108,8 @@ impl Fe {
 
     fn add(self, other: Fe) -> Fe {
         let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + other.0[i];
+        for (out, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0)) {
+            *out = a + b;
         }
         Fe(out).carry()
     }
@@ -191,8 +191,8 @@ impl Fe {
 
     fn mul_small(self, scalar: u64) -> Fe {
         let mut c = [0u128; 5];
-        for i in 0..5 {
-            c[i] = self.0[i] as u128 * scalar as u128;
+        for (c, limb) in c.iter_mut().zip(self.0) {
+            *c = limb as u128 * scalar as u128;
         }
         Fe::carry_wide(c)
     }
@@ -277,7 +277,7 @@ impl std::fmt::Debug for EphemeralKeyPair {
         write!(
             f,
             "EphemeralKeyPair(public={})",
-            crate::sha256::sha256(self.public).to_hex()[..8].to_string()
+            &crate::sha256::sha256(self.public).to_hex()[..8]
         )
     }
 }
