@@ -1,6 +1,8 @@
 //! Micro-benchmarks and ablations on the real (non-simulated) components:
 //! AEAD throughput, the RA-TLS handshake, KeyService operations, the SeMIRT
-//! hot path on a scaled-down model, and the FnPacker routing decision.
+//! hot path on a scaled-down model, `MODEL_EXEC` and `RUNTIME_INIT` on
+//! full-size MBNET (the `inference` group), and the FnPacker routing
+//! decision.
 //!
 //! These complement the per-figure benches: they measure the actual Rust
 //! implementations rather than the calibrated cost model, and include one
@@ -102,6 +104,40 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_inference(c: &mut Criterion) {
+    let mut group = c.benchmark_group("inference");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(3));
+
+    // Full-size MBNET (17 MB, Table I), the model `perfbench`'s `hot`
+    // workload serves; the simulator prices this stage as
+    // `StageCosts::model_exec`.
+    let kind = ModelKind::MbNet;
+    let bytes = kind.generate(1.0, &mut SessionRng::from_seed(7)).to_bytes();
+    for framework in Framework::ALL {
+        let model = framework.model_load(&kind.default_id(), &bytes).unwrap();
+        let input: Vec<f32> = (0..model.graph().input_dim)
+            .map(|i| ((i * 37 % 17) as f32 - 8.0) * 0.05)
+            .collect();
+        let mut runtime = framework.runtime_init(&model);
+        group.bench_with_input(
+            BenchmarkId::new("model_exec_mbnet", framework.label()),
+            &framework,
+            |b, _| b.iter(|| runtime.model_exec(&model, &input).unwrap()),
+        );
+        if framework == Framework::Tvm {
+            group.bench_with_input(
+                BenchmarkId::new("runtime_init_mbnet", framework.label()),
+                &framework,
+                |b, framework| b.iter(|| framework.runtime_init(&model)),
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_fnpacker_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("fnpacker");
     group
@@ -180,6 +216,7 @@ criterion_group!(
     benches,
     bench_crypto,
     bench_end_to_end,
+    bench_inference,
     bench_fnpacker_ablation,
     bench_schedule_dispatch
 );

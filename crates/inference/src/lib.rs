@@ -25,7 +25,8 @@
 //! while the cluster simulator uses the calibrated full-size stage durations
 //! in [`costs`] (taken from the paper's Figs. 17/18 and Table I).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -122,19 +122,77 @@ impl Matrix {
     /// of the logical weight): iterating columns of the transposed layout is
     /// the cache-friendlier access pattern the TVM-style backend pre-pays
     /// `RUNTIME_INIT` time for.
+    ///
+    /// Each output `out[o]` starts at `+0.0` and adds `x[k] * self[k][o]`
+    /// for every nonzero `x[k]`, one term at a time in increasing `k`, each
+    /// term a multiply rounded to `f32` followed by an add (never a fused
+    /// multiply-add).  That is [`Matrix::matvec_into`]'s order and rounding
+    /// on the untransposed matrix minus the zero inputs, whose terms cannot
+    /// change a sum that starts at `+0.0` when the weights are finite.  So
+    /// the result is bit-identical to it whatever the kernel's shape: one
+    /// pass over `out` applies the rows of four nonzero inputs (the last one
+    /// to three go one per pass), and on x86_64 CPUs with AVX2 those loops
+    /// run eight lanes wide.
     pub fn matvec_transposed_into(&self, x: &[f32], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected just above.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.matvec_transposed_avx2(x, out);
+            }
+            return;
+        }
+        self.matvec_transposed_body(x, out);
+    }
+
+    /// [`Matrix::matvec_transposed_into`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn matvec_transposed_avx2(&self, x: &[f32], out: &mut [f32]) {
+        self.matvec_transposed_body(x, out);
+    }
+
+    /// The kernel itself, inlined into each caller so that it is compiled
+    /// once portable and once with AVX2 enabled.
+    #[inline(always)]
+    fn matvec_transposed_body(&self, x: &[f32], out: &mut [f32]) {
         // Here `self` is the transposed weight: shape (in_dim x out_dim).
         debug_assert_eq!(x.len(), self.rows);
         debug_assert_eq!(out.len(), self.cols);
+        let term = |k: usize| (x[k], &self.data[k * self.cols..(k + 1) * self.cols]);
         out.fill(0.0);
+        let mut group = [0usize; 4];
+        let mut grouped = 0;
         for (k, xi) in x.iter().enumerate() {
             if *xi == 0.0 {
                 continue;
             }
-            let row = &self.data[k * self.cols..(k + 1) * self.cols];
-            for (o, w) in out.iter_mut().zip(row.iter()) {
-                *o += xi * w;
+            group[grouped] = k;
+            grouped += 1;
+            if grouped == group.len() {
+                add_terms(out, group.map(term));
+                grouped = 0;
             }
+        }
+        for &k in &group[..grouped] {
+            add_terms(out, [term(k)]);
+        }
+    }
+}
+
+/// `out[o] += x * row[o]` for each `(x, row)` of `terms` in order, as one
+/// pass over `out`.
+#[inline(always)]
+fn add_terms<const N: usize>(out: &mut [f32], terms: [(f32, &[f32]); N]) {
+    let terms = terms.map(|(x, row)| (x, &row[..out.len()]));
+    for (o, acc) in out.iter_mut().enumerate() {
+        for (x, row) in &terms {
+            *acc += x * row[o];
         }
     }
 }
@@ -180,9 +238,34 @@ mod tests {
         let mut via_transpose = [0.0f32; 3];
         m.transposed()
             .matvec_transposed_into(&x, &mut via_transpose);
-        for (a, b) in direct.iter().zip(via_transpose.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        assert_eq!(bits(&direct), bits(&via_transpose));
+    }
+
+    #[test]
+    fn avx2_and_portable_kernels_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // Output widths on both sides of the 8- and 16-lane loop bounds;
+            // up to 13 inputs, about half of them zero, so every remainder of
+            // the nonzero count mod 4 occurs.
+            for rows in [1, 7, 8, 9, 15, 16, 17, 31, 64, 129] {
+                for cols in 1..=13 {
+                    let (m, x) = sample(rows, cols, (rows * 100 + cols) as u64);
+                    let transposed = m.transposed();
+                    let mut portable = vec![f32::NAN; rows];
+                    let mut avx2 = vec![f32::NAN; rows];
+                    transposed.matvec_transposed_body(&x, &mut portable);
+                    // SAFETY: AVX2 was detected just above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        transposed.matvec_transposed_avx2(&x, &mut avx2);
+                    }
+                    assert_eq!(bits(&portable), bits(&avx2), "{rows}x{cols}");
+                }
+            }
+            return;
         }
+        eprintln!("skipped the AVX2 matvec kernel: no AVX2 here");
     }
 
     #[test]
@@ -201,29 +284,49 @@ mod tests {
         assert_eq!(m.transposed().transposed(), m);
     }
 
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `rows × cols` matrix of values in [-1, 1) and a `cols`-long input
+    /// about half of whose values are `0.0` or `-0.0`, drawn from `seed`.
+    fn sample(rows: usize, cols: usize, seed: u64) -> (Matrix, Vec<f32>) {
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
+        };
+        let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
+        let x = (0..cols)
+            .map(|_| {
+                let value = next();
+                if next() < 0.0 {
+                    0.0f32.copysign(value)
+                } else {
+                    value
+                }
+            })
+            .collect();
+        (m, x)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn matvec_implementations_agree(
-            rows in 1usize..8,
-            cols in 1usize..8,
+            rows in 1usize..40,
+            cols in 1usize..70,
             seed in 0u64..1000,
         ) {
-            let mut state = seed;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) as f32 / u32::MAX as f32) * 2.0 - 1.0
-            };
-            let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
-            let x: Vec<f32> = (0..cols).map(|_| next()).collect();
+            let (m, x) = sample(rows, cols, seed);
             let mut a = vec![0.0; rows];
             let mut b = vec![0.0; rows];
             m.matvec_into(&x, &mut a);
             m.transposed().matvec_transposed_into(&x, &mut b);
-            for (p, q) in a.iter().zip(b.iter()) {
-                prop_assert!((p - q).abs() < 1e-4);
-            }
+            prop_assert_eq!(bits(&a), bits(&b));
         }
     }
 }

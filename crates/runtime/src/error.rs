@@ -38,6 +38,14 @@ pub enum RuntimeError {
         /// Why the batch was refused.
         reason: String,
     },
+    /// The dispatcher named a worker the instance does not have: every
+    /// worker is bound to one of the enclave's TCSs.
+    UnknownWorker {
+        /// The worker the request named.
+        worker_id: usize,
+        /// The instance's TCS count, one above its highest worker id.
+        tcs_count: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -59,6 +67,13 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BatchRefused { reason } => {
                 write!(f, "batch refused: {reason}")
             }
+            RuntimeError::UnknownWorker {
+                worker_id,
+                tcs_count,
+            } => write!(
+                f,
+                "worker {worker_id} does not exist: the instance has {tcs_count} TCS-bound workers"
+            ),
         }
     }
 }

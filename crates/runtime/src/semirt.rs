@@ -18,7 +18,6 @@ use sesemi_enclave::{CodeIdentity, Enclave, EnclaveConfig, Measurement, SgxPlatf
 use sesemi_inference::{Framework, LoadedModel, ModelId, ModelRuntime};
 use sesemi_keyservice::PartyId;
 use sesemi_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -187,7 +186,9 @@ pub struct SemirtInstance {
     model_fetcher: Arc<dyn ModelFetcher>,
     key_cache: Mutex<Option<KeyCacheEntry>>,
     model_cache: Mutex<Option<CachedModel>>,
-    workers: Mutex<HashMap<usize, WorkerState>>,
+    /// One slot per TCS-bound worker, each locked on its own so that
+    /// workers execute concurrently (§IV-B).
+    workers: Box<[Mutex<Option<WorkerState>>]>,
     sequential_guard: Mutex<()>,
     rng: Mutex<SessionRng>,
     served: AtomicU64,
@@ -209,6 +210,7 @@ impl SemirtInstance {
         rng_seed: u64,
     ) -> Result<(Self, SimDuration), RuntimeError> {
         let enclave_config = EnclaveConfig::new(config.enclave_bytes, config.tcs_count);
+        let workers = (0..config.tcs_count).map(|_| Mutex::new(None)).collect();
         let (enclave, init_latency) = Enclave::launch(
             platform,
             authority,
@@ -224,7 +226,7 @@ impl SemirtInstance {
                 model_fetcher,
                 key_cache: Mutex::new(None),
                 model_cache: Mutex::new(None),
-                workers: Mutex::new(HashMap::new()),
+                workers,
                 sequential_guard: Mutex::new(()),
                 rng: Mutex::new(SessionRng::from_seed(rng_seed)),
                 served: AtomicU64::new(0),
@@ -283,11 +285,23 @@ impl SemirtInstance {
     /// `EC_MODEL_INF` (Algorithm 2): serves one encrypted request on worker
     /// `worker_id` and returns the encrypted response together with a report
     /// of which serving stages were executed.
+    ///
+    /// The untrusted dispatcher picks `worker_id`; one at or above the TCS
+    /// count is refused with [`RuntimeError::UnknownWorker`] before anything
+    /// runs.
     pub fn handle_request(
         &self,
         worker_id: usize,
         request: &InferenceRequest,
     ) -> Result<(InferenceResponse, InvocationReport), RuntimeError> {
+        let worker_slot = self
+            .workers
+            .get(worker_id)
+            .ok_or(RuntimeError::UnknownWorker {
+                worker_id,
+                tcs_count: self.workers.len(),
+            })?;
+
         // Pinned-model restriction (§V).
         if let Some(pinned) = &self.config.pinned_model {
             if pinned != &request.model {
@@ -396,36 +410,34 @@ impl SemirtInstance {
         let input;
         let output;
         {
-            let mut workers = self.workers.lock();
-            let needs_init = workers
-                .get(&worker_id)
-                .map_or(true, |state| !state.runtime.matches(&model));
-            if needs_init {
-                workers.remove(&worker_id);
-                let heap = self.enclave.allocate(model.runtime_buffer_bytes())?;
-                let runtime = self.config.framework.runtime_init(&model);
-                stages.push(ServingStage::RuntimeInit);
-                workers.insert(
-                    worker_id,
-                    WorkerState {
+            let mut slot = worker_slot.lock();
+            let worker = match &mut *slot {
+                Some(worker) if worker.runtime.matches(&model) => {
+                    runtime_reused = true;
+                    worker
+                }
+                _ => {
+                    // Free the previous runtime's heap before allocating.
+                    *slot = None;
+                    let heap = self.enclave.allocate(model.runtime_buffer_bytes())?;
+                    let runtime = self.config.framework.runtime_init(&model);
+                    stages.push(ServingStage::RuntimeInit);
+                    slot.insert(WorkerState {
                         runtime,
                         _heap: heap,
-                    },
-                );
-            } else {
-                runtime_reused = true;
-            }
+                    })
+                }
+            };
 
             // --- Request-dependent stages (Algorithm 2, lines 16-19) -------
             input = request.decrypt(&request_key)?;
             stages.push(ServingStage::RequestDecrypt);
-            let state = workers.get_mut(&worker_id).expect("runtime just ensured");
-            output = state.runtime.model_exec(&model, &input)?;
+            output = worker.runtime.model_exec(&model, &input)?;
             stages.push(ServingStage::ModelExec);
 
             if self.config.strong_isolation {
                 // Clear the per-request state: runtime buffer and key cache.
-                workers.remove(&worker_id);
+                *slot = None;
             }
         }
 
@@ -538,8 +550,11 @@ impl SemirtInstance {
 
     /// `EC_CLEAR_EXEC_CTX`: releases the worker's thread-local runtime buffer
     /// (the untrusted dispatcher calls this when it retires a worker thread).
+    /// An id at or above the TCS count has nothing to release.
     pub fn clear_worker(&self, worker_id: usize) {
-        self.workers.lock().remove(&worker_id);
+        if let Some(slot) = self.workers.get(worker_id) {
+            *slot.lock() = None;
+        }
     }
 
     /// Destroys the enclave; all subsequent requests fail.
@@ -653,6 +668,8 @@ mod tests {
     use sesemi_inference::ModelKind;
     use sesemi_keyservice::client::{OwnerClient, UserClient};
     use sesemi_keyservice::service::KeyService;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     const MB: u64 = 1024 * 1024;
 
@@ -976,6 +993,79 @@ mod tests {
         instance.clear_worker(3);
         assert!(instance.enclave_heap_used() < heap_with_four_workers);
         assert!(instance.enclave_heap_used() > 0);
+    }
+
+    #[test]
+    fn a_worker_executes_while_another_worker_holds_its_slot() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        let request = make_request(&world, 1);
+        let (sender, receiver) = mpsc::channel();
+        std::thread::scope(|scope| {
+            // Worker 0 is mid-request: its slot stays locked until this
+            // closure returns or unwinds.
+            let _busy = instance.workers[0].lock();
+            scope.spawn(|| {
+                let served = instance.handle_request(1, &request).map(|(_, r)| r.path);
+                sender.send(served).expect("the test awaits the result");
+            });
+            let served = receiver
+                .recv_timeout(Duration::from_secs(60))
+                .expect("worker 1 waited for worker 0's slot");
+            assert_eq!(served, Ok(InvocationPath::Cold));
+        });
+        assert_eq!(instance.enclave().threads_inside(), 0);
+    }
+
+    #[test]
+    fn a_worker_id_beyond_the_tcs_count_is_refused() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        let tcs_count = world.semirt_config.tcs_count;
+        let heap = instance.enclave_heap_used();
+        let err = instance
+            .handle_request(tcs_count, &make_request(&world, 1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::UnknownWorker {
+                worker_id: tcs_count,
+                tcs_count
+            }
+        );
+        assert_eq!(instance.stats(), InstanceStats::default());
+        assert_eq!(instance.enclave_heap_used(), heap);
+        assert_eq!(instance.enclave().threads_inside(), 0);
+        // Nothing to clear there either; the last worker still serves.
+        instance.clear_worker(tcs_count);
+        let (_, report) = instance
+            .handle_request(tcs_count - 1, &make_request(&world, 2))
+            .unwrap();
+        assert_eq!(report.path, InvocationPath::Cold);
+    }
+
+    #[test]
+    fn strong_isolation_stays_sequential() {
+        let world = build_world(
+            Framework::Tvm,
+            ModelKind::MbNet,
+            SemirtConfig::with_strong_isolation,
+        );
+        let instance = launch(&world);
+        {
+            // Another request is in flight.
+            let _in_flight = instance.sequential_guard.lock();
+            let err = instance
+                .handle_request(0, &make_request(&world, 1))
+                .unwrap_err();
+            assert_eq!(err, RuntimeError::SequentialModeBusy);
+        }
+        assert_eq!(instance.stats(), InstanceStats::default());
+        assert_eq!(instance.enclave().threads_inside(), 0);
+        instance
+            .handle_request(0, &make_request(&world, 2))
+            .unwrap();
+        assert_eq!(instance.stats().total(), 1);
     }
 
     #[test]

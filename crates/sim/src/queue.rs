@@ -119,7 +119,7 @@ impl<E> EventQueue<E> {
             }
         }
         self.heap = kept;
-        extracted.sort_unstable_by(|a, b| (a.at, a.seq).cmp(&(b.at, b.seq)));
+        extracted.sort_unstable_by_key(|a| (a.at, a.seq));
         extracted.into_iter().map(|e| (e.at, e.event)).collect()
     }
 
