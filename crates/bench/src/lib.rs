@@ -43,9 +43,12 @@ pub mod sims;
 
 pub use report::Report;
 
+/// One registry entry: a report id and its runner.
+type Experiment = (&'static str, fn(u64) -> Report);
+
 /// The experiment registry: `(report id, runner)` in presentation order.
 /// The runners take the experiment seed (closed-form experiments ignore it).
-pub const EXPERIMENTS: [(&str, fn(u64) -> Report); 22] = [
+pub const EXPERIMENTS: [Experiment; 22] = [
     ("T1", |_| micro::table1_models()),
     ("F8", |_| micro::fig8_stage_ratio()),
     ("F9", |_| micro::fig9_invocation_paths()),

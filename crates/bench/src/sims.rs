@@ -1383,6 +1383,9 @@ fn timed_bench_run(
     sim.add_arrivals(arrivals);
     let result = sim.run(duration);
     let simulate_seconds = simulate_started.elapsed().as_secs_f64();
+    if let Err(violation) = result.check() {
+        panic!("bench trace (seed {seed}): {violation}");
+    }
 
     let report_started = std::time::Instant::now();
     let mean_latency = result.mean_latency();
@@ -1560,7 +1563,7 @@ mod tests {
                 age_only.cold_starts
             );
             for result in [&age_only, &warm_value] {
-                assert!(result.conserves_requests());
+                assert_eq!(result.check(), Ok(()));
                 assert_eq!(result.dropped, 0);
             }
         }
@@ -1608,8 +1611,7 @@ mod tests {
                 secs(slo)
             );
             for result in [&steady, &admit_all, &deadline_aware] {
-                assert!(result.conserves_requests());
-                assert_eq!(result.latency.count() as u64, result.completed);
+                assert_eq!(result.check(), Ok(()));
             }
         }
     }
@@ -1657,8 +1659,7 @@ mod tests {
                 secs(unbatched.p99_latency())
             );
             for result in [&unbatched, &batched] {
-                assert!(result.conserves_requests());
-                assert_eq!(result.latency.count() as u64, result.completed);
+                assert_eq!(result.check(), Ok(()));
             }
         }
     }
@@ -1675,7 +1676,7 @@ mod tests {
         for seed in [42, 7] {
             let reference =
                 keyservice_storm_run(seed, KeyServiceConfig::queued(8, E6_PROVISION, 8), None);
-            assert!(reference.conserves_requests());
+            assert_eq!(reference.check(), Ok(()));
             assert_eq!(reference.dropped, 0, "seed {seed}: reference must not drop");
             assert!(
                 reference.provisioned_keys > 0,
@@ -1694,7 +1695,7 @@ mod tests {
                         crash,
                     );
                     let label = format!("seed {seed}, {replicas} replicas, crash {crash:?}");
-                    assert!(result.conserves_requests(), "{label}");
+                    assert_eq!(result.check(), Ok(()), "{label}");
                     assert_eq!(result.dropped, 0, "{label}: failover must not drop");
                     assert_eq!(
                         result.admitted, reference.admitted,
@@ -1720,7 +1721,7 @@ mod tests {
             }
             let single =
                 keyservice_storm_run(seed, KeyServiceConfig::queued(1, E6_PROVISION, 1), None);
-            assert!(single.conserves_requests());
+            assert_eq!(single.check(), Ok(()));
             assert_eq!(
                 single.dropped, 0,
                 "seed {seed}: a healthy singleton pool is slow, not lossy"
@@ -1738,7 +1739,7 @@ mod tests {
             );
             let outage =
                 keyservice_storm_run(seed, KeyServiceConfig::queued(1, E6_PROVISION, 1), Some(0));
-            assert!(outage.conserves_requests());
+            assert_eq!(outage.check(), Ok(()));
             assert_eq!(outage.keyservice_crashes, 1);
             assert!(
                 outage.dropped > 0,
@@ -1777,7 +1778,7 @@ mod tests {
         assert_eq!(elastic.admitted, fixed.admitted, "identical request trace");
         assert!(fixed.admitted > 10_000, "the MMPP workload is substantial");
         for result in [&fixed, &elastic] {
-            assert!(result.conserves_requests());
+            assert_eq!(result.check(), Ok(()));
             assert_eq!(result.dropped, 0);
             assert_eq!(result.completed, result.admitted);
         }

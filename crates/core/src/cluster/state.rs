@@ -31,24 +31,28 @@ impl SimRequest {
     }
 }
 
+/// One invocation in flight on a sandbox slot, from dispatch to completion.
+#[derive(Debug)]
+pub(super) struct Invocation {
+    pub(super) sandbox: SandboxId,
+    pub(super) slot: usize,
+    pub(super) node: usize,
+    pub(super) action: ActionName,
+    pub(super) request: SimRequest,
+    /// Requests coalesced into this dispatch behind `request` (the batch
+    /// head).  Empty — and allocation-free — on every unbatched run; each
+    /// member gets its own completion accounting in `handle_done`.
+    pub(super) extra: Vec<SimRequest>,
+    pub(super) path: InvocationPath,
+    pub(super) enclave_was_initialized: bool,
+    pub(super) started: SimTime,
+}
+
 #[derive(Debug)]
 pub(super) enum Event {
     Arrival(SimRequest),
     SandboxReady(SandboxId),
-    InvocationDone {
-        sandbox: SandboxId,
-        slot: usize,
-        node: usize,
-        action: ActionName,
-        request: SimRequest,
-        /// Requests coalesced into this dispatch behind `request` (the batch
-        /// head).  Empty — and allocation-free — on every unbatched run;
-        /// each member gets its own completion accounting in `handle_done`.
-        extra: Vec<SimRequest>,
-        path: InvocationPath,
-        enclave_was_initialized: bool,
-        started: SimTime,
-    },
+    InvocationDone(Invocation),
     EvictionTick,
     /// Periodic autoscaler sampling (only scheduled when autoscaling is
     /// configured).
@@ -137,7 +141,14 @@ impl SandboxSimState {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug)]
+///
+/// This is also the simulator's run ledger: [`ClusterSimulation`] updates
+/// one of these in place as events fire and returns it from `run()`, so
+/// every counter is declared here and nowhere else.  [`SimulationResult::check`]
+/// tests the identities that tie the counters together.
+///
+/// [`ClusterSimulation`]: crate::cluster::ClusterSimulation
+#[derive(Debug, Default)]
 pub struct SimulationResult {
     /// End-to-end latency of every completed request.
     pub latency: LatencyStats,
@@ -228,9 +239,8 @@ pub struct SimulationResult {
     pub dispatched: u64,
     /// Dispatches that had to cold-start a fresh container.
     pub cold_dispatches: u64,
-    /// Warm hits per model (dispatches absorbed by an existing container),
-    /// sorted by model id.
-    pub per_model_warm_hits: Vec<(String, u64)>,
+    /// Warm hits per model (dispatches absorbed by an existing container).
+    pub per_model_warm_hits: HashMap<ModelId, u64>,
     /// Cold starts not driven by a request: prewarmed containers plus
     /// pre-migrated drain replacements.  Closes the cold-start ledger:
     /// `cold_starts == cold_dispatches + auxiliary_cold_starts`.
@@ -316,12 +326,48 @@ impl SimulationResult {
         self.path_fraction(InvocationPath::Hot)
     }
 
-    /// Whether the run conserved requests: everything admitted either
-    /// completed or is accounted for as dropped.  `sesemi_scenario` asserts
-    /// this on every run.
-    #[must_use]
-    pub fn conserves_requests(&self) -> bool {
-        self.admitted == self.completed + self.dropped
+    /// Tests every ledger identity that holds on every run, and returns the
+    /// first one that fails:
+    ///
+    /// * conservation, `admitted == completed + dropped`;
+    /// * the latency samples, the per-path counts and the per-model latency
+    ///   samples each sum to `completed`;
+    /// * `shed <= dropped` (shed victims were admitted, then dropped);
+    /// * the warm-hit ledger, `warm_hits() + cold_dispatches == dispatched`;
+    /// * the cold-start ledger, `cold_starts == cold_dispatches +
+    ///   auxiliary_cold_starts`;
+    /// * `dispatched >= completed`, `premigrated <= auxiliary_cold_starts`,
+    ///   `provisioned_keys <= cold_dispatches` and `batched_requests >= 2 *
+    ///   batches_formed`.
+    ///
+    /// `sesemi_scenario` calls it on every scenario run, in release builds
+    /// too.
+    ///
+    /// # Errors
+    /// The [`LedgerViolation`] of the first identity that does not hold.
+    pub fn check(&self) -> Result<(), LedgerViolation> {
+        use LedgerViolation as V;
+        let per_model = self.per_model_latency.values().map(LatencyStats::count);
+        let candidates = [
+            V::Conservation(self.admitted, self.completed + self.dropped),
+            V::LatencySamples(self.latency.count() as u64, self.completed),
+            V::PathCounts(self.path_counts.values().sum(), self.completed),
+            V::PerModelSamples(per_model.sum::<usize>() as u64, self.completed),
+            V::Shed(self.shed, self.dropped),
+            V::WarmHits(self.warm_hits() + self.cold_dispatches, self.dispatched),
+            V::ColdStarts(
+                self.cold_starts,
+                self.cold_dispatches + self.auxiliary_cold_starts,
+            ),
+            V::Dispatched(self.dispatched, self.completed),
+            V::Premigrated(self.premigrated, self.auxiliary_cold_starts),
+            V::ProvisionedKeys(self.provisioned_keys, self.cold_dispatches),
+            V::Batches(self.batched_requests, 2 * self.batches_formed),
+        ];
+        candidates
+            .into_iter()
+            .find(|candidate| !candidate.identity().3)
+            .map_or(Ok(()), Err)
     }
 
     /// Total per-activation billed GB·seconds across all actions.
@@ -334,7 +380,7 @@ impl SimulationResult {
     /// within `dispatched`).
     #[must_use]
     pub fn warm_hits(&self) -> u64 {
-        self.per_model_warm_hits.iter().map(|(_, hits)| hits).sum()
+        self.per_model_warm_hits.values().sum()
     }
 
     /// Total policy-driven evictions, across reasons.  (Crash and kill
@@ -354,6 +400,200 @@ impl SimulationResult {
             SimDuration::from_secs_f64(
                 self.keyservice_wait.as_secs_f64() / self.provisioned_keys as f64,
             )
+        }
+    }
+}
+
+/// A run-ledger identity that [`SimulationResult::check`] found broken.
+/// Each variant carries the identity's left and right sides, in that order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LedgerViolation {
+    /// `admitted == completed + dropped` (request conservation).
+    Conservation(u64, u64),
+    /// `latency samples == completed`.
+    LatencySamples(u64, u64),
+    /// `sum of path counts == completed`.
+    PathCounts(u64, u64),
+    /// `sum of per-model latency samples == completed`.
+    PerModelSamples(u64, u64),
+    /// `shed <= dropped`.
+    Shed(u64, u64),
+    /// `warm_hits + cold_dispatches == dispatched` (the warm-hit ledger).
+    WarmHits(u64, u64),
+    /// `cold_starts == cold_dispatches + auxiliary_cold_starts` (the
+    /// cold-start ledger).
+    ColdStarts(u64, u64),
+    /// `dispatched >= completed`.
+    Dispatched(u64, u64),
+    /// `premigrated <= auxiliary_cold_starts`.
+    Premigrated(u64, u64),
+    /// `provisioned_keys <= cold_dispatches`.
+    ProvisionedKeys(u64, u64),
+    /// `batched_requests >= 2 * batches_formed`.
+    Batches(u64, u64),
+}
+
+impl LedgerViolation {
+    /// The identity as text, its left and right sides, and whether the
+    /// sides satisfy it.
+    fn identity(self) -> (&'static str, u64, u64, bool) {
+        use LedgerViolation as V;
+        match self {
+            V::Conservation(l, r) => ("admitted == completed + dropped", l, r, l == r),
+            V::LatencySamples(l, r) => ("latency samples == completed", l, r, l == r),
+            V::PathCounts(l, r) => ("sum of path counts == completed", l, r, l == r),
+            V::PerModelSamples(l, r) => (
+                "sum of per-model latency samples == completed",
+                l,
+                r,
+                l == r,
+            ),
+            V::Shed(l, r) => ("shed <= dropped", l, r, l <= r),
+            V::WarmHits(l, r) => ("warm_hits + cold_dispatches == dispatched", l, r, l == r),
+            V::ColdStarts(l, r) => (
+                "cold_starts == cold_dispatches + auxiliary_cold_starts",
+                l,
+                r,
+                l == r,
+            ),
+            V::Dispatched(l, r) => ("dispatched >= completed", l, r, l >= r),
+            V::Premigrated(l, r) => ("premigrated <= auxiliary_cold_starts", l, r, l <= r),
+            V::ProvisionedKeys(l, r) => ("provisioned_keys <= cold_dispatches", l, r, l <= r),
+            V::Batches(l, r) => ("batched_requests >= 2 * batches_formed", l, r, l >= r),
+        }
+    }
+}
+
+impl std::fmt::Display for LedgerViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (identity, left, right, _) = self.identity();
+        write!(
+            f,
+            "run ledger identity `{identity}` violated: left side {left}, right side {right}"
+        )
+    }
+}
+
+impl std::error::Error for LedgerViolation {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ledger on which every identity holds, with the inequalities at
+    /// their bounds, so each case below breaks exactly one identity.
+    fn balanced() -> SimulationResult {
+        let model = ModelId::new("m");
+        let mut ledger = SimulationResult {
+            admitted: 4,
+            completed: 3,
+            dropped: 1,
+            shed: 1,
+            dispatched: 4,
+            cold_dispatches: 2,
+            cold_starts: 3,
+            auxiliary_cold_starts: 1,
+            premigrated: 1,
+            provisioned_keys: 2,
+            batches_formed: 1,
+            batched_requests: 2,
+            path_counts: HashMap::from([(InvocationPath::Hot, 3)]),
+            per_model_warm_hits: HashMap::from([(model.clone(), 2)]),
+            ..SimulationResult::default()
+        };
+        for _ in 0..3 {
+            ledger.latency.record(SimDuration::from_millis(1));
+            ledger
+                .per_model_latency
+                .entry(model.clone())
+                .or_default()
+                .record(SimDuration::from_millis(1));
+        }
+        ledger
+    }
+
+    #[test]
+    fn an_empty_ledger_and_the_balanced_one_pass() {
+        assert_eq!(SimulationResult::default().check(), Ok(()));
+        assert_eq!(balanced().check(), Ok(()));
+    }
+
+    #[test]
+    fn check_returns_the_one_broken_identity_and_names_it() {
+        use LedgerViolation as V;
+        /// A way to break the balanced ledger, the violation it must
+        /// produce, and the identity its message must name.
+        type Case = (fn(&mut SimulationResult), LedgerViolation, &'static str);
+        let cases: [Case; 11] = [
+            (
+                |l| l.admitted += 1,
+                V::Conservation(5, 4),
+                "admitted == completed + dropped",
+            ),
+            (
+                |l| l.latency.record(SimDuration::ZERO),
+                V::LatencySamples(4, 3),
+                "latency samples == completed",
+            ),
+            (
+                |l| *l.path_counts.entry(InvocationPath::Cold).or_default() += 1,
+                V::PathCounts(4, 3),
+                "sum of path counts == completed",
+            ),
+            (
+                |l| {
+                    let stats = l.per_model_latency.entry(ModelId::new("other"));
+                    stats.or_default().record(SimDuration::ZERO);
+                },
+                V::PerModelSamples(4, 3),
+                "sum of per-model latency samples == completed",
+            ),
+            (|l| l.shed += 1, V::Shed(2, 1), "shed <= dropped"),
+            (
+                |l| {
+                    l.per_model_warm_hits.insert(ModelId::new("other"), 1);
+                },
+                V::WarmHits(5, 4),
+                "warm_hits + cold_dispatches == dispatched",
+            ),
+            (
+                |l| l.cold_starts += 1,
+                V::ColdStarts(4, 3),
+                "cold_starts == cold_dispatches + auxiliary_cold_starts",
+            ),
+            (
+                // Fewer dispatches, all of them cold, so the warm-hit
+                // ledger still balances.
+                |l| {
+                    l.per_model_warm_hits.clear();
+                    l.dispatched = 2;
+                },
+                V::Dispatched(2, 3),
+                "dispatched >= completed",
+            ),
+            (
+                |l| l.premigrated += 1,
+                V::Premigrated(2, 1),
+                "premigrated <= auxiliary_cold_starts",
+            ),
+            (
+                |l| l.provisioned_keys += 1,
+                V::ProvisionedKeys(3, 2),
+                "provisioned_keys <= cold_dispatches",
+            ),
+            (
+                |l| l.batches_formed += 1,
+                V::Batches(2, 4),
+                "batched_requests >= 2 * batches_formed",
+            ),
+        ];
+        for (breaks, expected, identity) in cases {
+            let mut ledger = balanced();
+            breaks(&mut ledger);
+            let violation = ledger.check().expect_err(identity);
+            assert_eq!(violation, expected);
+            let message = violation.to_string();
+            assert!(message.contains(identity), "{message}");
         }
     }
 }

@@ -904,7 +904,6 @@ impl Controller {
     }
 
     /// All live sandboxes (any state).
-    #[must_use]
     pub fn sandboxes(&self) -> impl Iterator<Item = &Sandbox> {
         self.sandboxes.values()
     }
@@ -1171,7 +1170,7 @@ mod tests {
             let roll = state >> 33;
             let now = SimTime::from_secs(step);
             match roll % 5 {
-                0 | 1 | 2 => {
+                0..=2 => {
                     let action: ActionName = if roll % 2 == 0 {
                         "a".into()
                     } else {

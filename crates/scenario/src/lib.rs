@@ -147,13 +147,15 @@ impl Scenario {
     /// declaration order, merged by arrival time), sessions, then the event
     /// loop — so a scenario is reproducible bit for bit.
     ///
-    /// Every run is checked against the request-conservation invariant
-    /// `admitted == completed + dropped`: a simulator change that silently
-    /// loses queued requests (the historical saturated-queue bugs) fails
-    /// every scenario instead of just undercounting `completed`.
+    /// Every run's ledger is checked with [`SimulationResult::check`], in
+    /// release builds too: a simulator change that silently loses queued
+    /// requests (the historical saturated-queue bugs) or unbalances the
+    /// warm-hit or cold-start ledgers fails every scenario instead of just
+    /// skewing a counter.
     ///
     /// # Panics
-    /// Panics if the run violates the conservation invariant.
+    /// Panics with the [`LedgerViolation`](sesemi::cluster::LedgerViolation)
+    /// if the run breaks a ledger identity.
     #[must_use]
     pub fn run(&self) -> SimulationResult {
         let mut sim = ClusterSimulation::new(self.config.clone(), self.models.clone());
@@ -187,15 +189,9 @@ impl Scenario {
         }
         sim.add_fault_plan(&self.faults);
         let result = sim.run(self.duration);
-        assert!(
-            result.conserves_requests(),
-            "scenario {:?} violated request conservation: \
-             admitted {} != completed {} + dropped {}",
-            self.name,
-            result.admitted,
-            result.completed,
-            result.dropped
-        );
+        if let Err(violation) = result.check() {
+            panic!("scenario {:?}: {violation}", self.name);
+        }
         result
     }
 }
@@ -669,11 +665,11 @@ mod tests {
 
     #[test]
     fn every_run_satisfies_the_conservation_invariant() {
-        // The builder's run() asserts admitted == completed + dropped; this
-        // test additionally pins the expectation that a comfortably
-        // provisioned scenario drops nothing at all.
+        // The builder's run() checks the ledger; this test additionally pins
+        // the expectation that a comfortably provisioned scenario drops
+        // nothing at all.
         let result = quick_scenario(3).run();
-        assert!(result.conserves_requests());
+        assert_eq!(result.check(), Ok(()));
         assert_eq!(result.dropped, 0);
         assert_eq!(result.admitted, result.completed);
     }
@@ -776,7 +772,7 @@ mod tests {
                 .seed(19)
                 .nodes(2)
                 .keyservice(keyservice)
-                .model(model.clone(), profile.clone())
+                .model(model.clone(), profile)
                 .traffic(
                     model.clone(),
                     0,
@@ -799,7 +795,7 @@ mod tests {
             true,
         );
         assert_eq!(crashed.keyservice_crashes, 1);
-        assert!(crashed.conserves_requests());
+        assert_eq!(crashed.check(), Ok(()));
     }
 
     #[test]

@@ -270,7 +270,7 @@ mod tests {
         let arrivals = process.generate(&model(), 0, SimDuration::from_secs(800), &mut rng);
         // Count arrivals in 50-second windows and check the spread is wide
         // enough to indicate modulation (not a flat Poisson).
-        let mut windows = vec![0usize; 16];
+        let mut windows = [0usize; 16];
         for arrival in &arrivals {
             let idx = (arrival.at.as_secs_f64() / 50.0) as usize;
             windows[idx.min(15)] += 1;

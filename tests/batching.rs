@@ -9,19 +9,19 @@
 //! cross-user coalescing under the multi-user probes panics and is caught
 //! by the harness here.
 
+#[path = "support/fault_plan.rs"]
+mod fault_plan;
+#[path = "support/shrink.rs"]
+mod shrink;
+
+use fault_plan::{apply_plan, decode_fault, one_container_budget, PlanFault};
 use proptest::prelude::*;
 use sesemi::cluster::BatchingConfig;
 use sesemi_inference::{Framework, ModelKind, ModelProfile};
 use sesemi_scenario::{Scenario, ScenarioBuilder};
-use sesemi_sim::{SimDuration, SimTime};
+use sesemi_sim::SimDuration;
 use sesemi_workload::ArrivalProcess;
-
-/// Memory budget that fits exactly one single-threaded container of
-/// `profile` on a node — the bottleneck that makes queues (and therefore
-/// batches) form.
-fn one_container_budget(profile: &ModelProfile) -> u64 {
-    sesemi_platform::PlatformConfig::round_memory_budget(profile.enclave_bytes_for_concurrency(1))
-}
+use shrink::shrink_to_minimal;
 
 /// The one-node batching probe: `users` independent MMPP streams of MBNET
 /// requests (`low ↔ high` rps each) offered to a single single-TCS
@@ -57,81 +57,11 @@ fn batching_probe(
     builder.duration(SimDuration::from_secs(20))
 }
 
-// ---------------------------------------------------------------------------
-// Random fault plans (same decode/shrink machinery as the corpus suite)
-// ---------------------------------------------------------------------------
-
-/// A decoded random fault, kept abstract so the shrinker can re-apply a
-/// sub-plan to a fresh builder.
-#[derive(Clone, Debug, PartialEq)]
-enum PlanFault {
-    Crash { at_ms: u64, node: usize },
-    Kill { at_ms: u64, model_index: usize },
-}
-
-/// Decodes one raw 64-bit draw into a fault: bit 0 picks the kind, the low
-/// half a time inside the first minute, the high half the target (wrapped
-/// into bounds at application time).
-fn decode_fault(raw: u64) -> PlanFault {
-    let at_ms = (raw >> 1) % 60_000;
-    let target = (raw >> 33) as usize;
-    if raw & 1 == 0 {
-        PlanFault::Crash {
-            at_ms,
-            node: target,
-        }
-    } else {
-        PlanFault::Kill {
-            at_ms,
-            model_index: target,
-        }
-    }
-}
-
-fn apply_plan(builder: ScenarioBuilder, faults: &[PlanFault]) -> Scenario {
-    let bound = builder.node_pool_bound();
-    let models = builder.model_ids();
-    let mut builder = builder.clear_faults();
-    for fault in faults {
-        builder = match fault {
-            PlanFault::Crash { at_ms, node } => {
-                builder.node_crash(SimTime::from_millis(*at_ms), node % bound)
-            }
-            PlanFault::Kill { at_ms, model_index } => builder.container_kill(
-                SimTime::from_millis(*at_ms),
-                models[model_index % models.len()].clone(),
-            ),
-        };
-    }
-    builder.build()
-}
-
-/// Greedy delta-debugging: repeatedly drop any fault whose removal keeps
-/// the plan failing, until the plan is 1-minimal.
-fn shrink_to_minimal(faults: &[PlanFault], fails: &dyn Fn(&[PlanFault]) -> bool) -> Vec<PlanFault> {
-    let mut current = faults.to_vec();
-    loop {
-        let mut shrunk = false;
-        for index in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(index);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
-    }
-}
-
 /// Runs the probe at `window` alongside its unbatched twin (identical seed,
-/// identical faults) and checks the batching ledgers; `Err` carries the
-/// reason for the shrinker.  A panic anywhere in the simulator — including
-/// the cross-user and warm-dispatch debug asserts on the batching path —
-/// also surfaces as `Err`.
+/// identical faults) and checks the run ledger and the batching counters;
+/// `Err` carries the reason for the shrinker.  A panic anywhere in the
+/// simulator — including the cross-user and warm-dispatch debug asserts on
+/// the batching path — also surfaces as `Err`.
 #[allow(clippy::too_many_arguments)]
 fn run_batching_probe(
     seed: u64,
@@ -148,29 +78,10 @@ fn run_batching_probe(
             .map_err(|_| format!("the simulator panicked at window {w}"))
     };
     let result = run_window(window)?;
-    if !result.conserves_requests() {
-        return Err(format!(
-            "conservation violated: admitted {} != completed {} + dropped {}",
-            result.admitted, result.completed, result.dropped
-        ));
-    }
     // Per-item accounting: batching amortizes the *execution*, never the
-    // bookkeeping — one latency sample, one path count, and one per-model
-    // sample per completed request, batched or not.
-    if result.latency.count() as u64 != result.completed {
-        return Err("latency samples != completions".to_string());
-    }
-    if result.path_counts.values().sum::<u64>() != result.completed {
-        return Err("per-path counts != completions".to_string());
-    }
-    let per_model: usize = result
-        .per_model_latency
-        .values()
-        .map(sesemi_sim::LatencyStats::count)
-        .sum();
-    if per_model as u64 != result.completed {
-        return Err("per-model latency samples != completions".to_string());
-    }
+    // bookkeeping — the ledger check holds one latency sample, one path
+    // count, and one per-model sample per completed request, batched or not.
+    result.check().map_err(|violation| violation.to_string())?;
     // The window is a hard cap on batch size.
     if result.max_batch > window {
         return Err(format!(
@@ -181,12 +92,10 @@ fn run_batching_probe(
     if result.batched_requests > result.dispatched {
         return Err("more batched requests than dispatches".to_string());
     }
-    if result.batches_formed > 0
-        && (result.max_batch < 2 || result.batched_requests < 2 * result.batches_formed)
-    {
+    if result.batches_formed > 0 && result.max_batch < 2 {
         return Err(format!(
-            "{} batches covering only {} requests (max {})",
-            result.batches_formed, result.batched_requests, result.max_batch
+            "{} batches formed, but the widest held {} request",
+            result.batches_formed, result.max_batch
         ));
     }
     if window <= 1
@@ -280,7 +189,7 @@ fn fnpacker_stickiness_concentrates_peers_for_the_batching_window() {
             .invoker_memory_bytes(one_container_budget(&profile))
             .routing(sesemi_fnpacker::RoutingStrategy::FnPacker)
             .batching(BatchingConfig { window })
-            .model(model.clone(), profile.clone())
+            .model(model.clone(), profile)
             .prewarm(model.clone(), 0, 1)
             .traffic(
                 model.clone(),
@@ -297,9 +206,7 @@ fn fnpacker_stickiness_concentrates_peers_for_the_batching_window() {
         "stickiness left the batching window without peers"
     );
     assert!(batched.max_batch >= 2 && batched.max_batch <= 4);
-    assert!(batched.conserves_requests());
-    assert_eq!(batched.latency.count() as u64, batched.completed);
-    assert_eq!(batched.path_counts.values().sum::<u64>(), batched.completed);
+    assert_eq!(batched.check(), Ok(()));
 
     let unbatched = build(1);
     assert_eq!(unbatched.batches_formed, 0);

@@ -309,7 +309,7 @@ fn autoscaled_scenarios_conserve_requests_and_undercut_the_fixed_pool() {
     }));
     assert_eq!(elastic.admitted, fixed.admitted, "identical seeded trace");
     for result in [&fixed, &elastic] {
-        assert!(result.conserves_requests());
+        assert_eq!(result.check(), Ok(()));
         assert_eq!(result.dropped, 0);
         assert_eq!(result.completed, result.admitted);
     }

@@ -9,12 +9,16 @@
 //! iterator after each op.  A divergence shrinks to a 1-minimal op sequence
 //! with the same greedy delta-debugging the scenario corpus uses.
 
+#[path = "support/shrink.rs"]
+mod shrink;
+
 use proptest::prelude::*;
 use sesemi_platform::{
     ActionName, ActionSpec, Controller, NodeSnapshot, NodeState, PlatformConfig, SandboxId,
     SandboxState, WarmCandidate,
 };
 use sesemi_sim::SimTime;
+use shrink::shrink_to_minimal;
 
 const MB: u64 = 1024 * 1024;
 
@@ -254,27 +258,6 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
         Ok(())
     })
     .unwrap_or_else(|_| Err("the controller panicked".to_string()))
-}
-
-/// Greedy delta-debugging: repeatedly drop any op whose removal keeps the
-/// sequence failing, until the sequence is 1-minimal.
-fn shrink_to_minimal(ops: &[Op], fails: &dyn Fn(&[Op]) -> bool) -> Vec<Op> {
-    let mut current = ops.to_vec();
-    loop {
-        let mut shrunk = false;
-        for index in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(index);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
-    }
 }
 
 proptest! {

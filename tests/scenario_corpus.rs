@@ -8,80 +8,28 @@
 //! Adding a corpus entry automatically puts it under all of these tests:
 //! there is no per-scenario test to forget.
 
+#[path = "support/fault_plan.rs"]
+mod fault_plan;
+#[path = "support/shrink.rs"]
+mod shrink;
+
+use fault_plan::{apply_plan, decode_fault, one_container_budget, PlanFault};
 use proptest::prelude::*;
 use sesemi::cluster::{AdmissionKind, LifecycleKind, SimulationResult};
 use sesemi_inference::{Framework, ModelKind, ModelProfile};
 use sesemi_scenario::{Scenario, ScenarioBuilder, ScenarioRegistry};
-use sesemi_sim::{SimDuration, SimTime};
+use sesemi_sim::SimDuration;
 use sesemi_workload::{ArrivalProcess, Tier};
+use shrink::shrink_to_minimal;
 
 const CONFORMANCE_SEEDS: [u64; 2] = [11, 17];
 
 /// The accounting-consistency checks every corpus run must satisfy,
 /// regardless of workload shape or injected failures.
 fn assert_internally_consistent(id: &str, seed: u64, result: &SimulationResult) {
-    assert!(
-        result.conserves_requests(),
-        "{id} (seed {seed}): admitted {} != completed {} + dropped {}",
-        result.admitted,
-        result.completed,
-        result.dropped
-    );
-    assert_eq!(
-        result.latency.count() as u64,
-        result.completed,
-        "{id} (seed {seed}): latency samples != completions"
-    );
-    assert_eq!(
-        result.path_counts.values().sum::<u64>(),
-        result.completed,
-        "{id} (seed {seed}): per-path counts != completions"
-    );
-    let per_model: usize = result
-        .per_model_latency
-        .values()
-        .map(sesemi_sim::LatencyStats::count)
-        .sum();
-    assert_eq!(
-        per_model as u64, result.completed,
-        "{id} (seed {seed}): per-model latency samples != completions"
-    );
-    assert!(
-        (0.0..=1.0).contains(&result.hot_fraction()),
-        "{id} (seed {seed}): hot fraction out of range"
-    );
+    assert_eq!(result.check(), Ok(()), "{id} (seed {seed})");
     assert!(result.gb_seconds >= 0.0 && result.node_gb_seconds >= 0.0);
     assert!(result.peak_nodes >= 1, "{id}: a pool served with no nodes");
-    // The lifecycle layer's dispatch ledger: every successful dispatch is
-    // exactly one of a warm hit or a cold start...
-    assert_eq!(
-        result.warm_hits() + result.cold_dispatches,
-        result.dispatched,
-        "{id} (seed {seed}): warm hits + cold dispatches != dispatches"
-    );
-    // ...and every cold start is either request-driven or auxiliary
-    // (prewarm / pre-migration) — the cold-start complement.
-    assert_eq!(
-        result.cold_starts,
-        result.cold_dispatches + result.auxiliary_cold_starts,
-        "{id} (seed {seed}): cold-start ledger out of balance"
-    );
-    assert!(
-        result.dispatched >= result.completed,
-        "{id} (seed {seed}): completions without dispatches"
-    );
-    assert!(
-        result.premigrated <= result.auxiliary_cold_starts,
-        "{id} (seed {seed}): pre-migrations are auxiliary cold starts"
-    );
-    // Shed victims were admitted first, so they are accounted as drops:
-    // `shed` can never exceed `dropped` without breaking conservation.
-    assert!(
-        result.shed <= result.dropped,
-        "{id} (seed {seed}): shed {} exceeds dropped {}",
-        result.shed,
-        result.dropped
-    );
 }
 
 /// Corpus conformance: every registered scenario, at two seeds, completes
@@ -234,7 +182,7 @@ fn node_crash_drives_the_waiting_queue_requeue_path_and_the_control_stays_cold()
     assert_eq!(crashed.node_crashes, 1);
     assert_eq!(crashed.dropped, 0);
     assert_eq!(crashed.completed, crashed.admitted);
-    assert!(crashed.conserves_requests());
+    assert_eq!(crashed.check(), Ok(()));
 
     let control = entry.clear_faults().build().run();
     assert_eq!(control.node_crashes, 0);
@@ -243,7 +191,7 @@ fn node_crash_drives_the_waiting_queue_requeue_path_and_the_control_stays_cold()
         "idle-only eviction re-queued a parked request without any fault"
     );
     assert_eq!(control.requeued_inflight, 0);
-    assert!(control.conserves_requests());
+    assert_eq!(control.check(), Ok(()));
     // The control run admits the same trace but loses no node, so it can
     // only do better.
     assert_eq!(control.admitted, crashed.admitted);
@@ -268,7 +216,7 @@ fn epc_pressure_scenario_drives_pressure_evictions_only_under_warm_value() {
         warm_value.evictions_pressure >= 1,
         "the overcommitted EPC never drove a pressure eviction"
     );
-    assert!(warm_value.conserves_requests());
+    assert_eq!(warm_value.check(), Ok(()));
 
     let age_only = entry_builder(5)
         .lifecycle(LifecycleKind::AgeOnly)
@@ -279,7 +227,7 @@ fn epc_pressure_scenario_drives_pressure_evictions_only_under_warm_value() {
         "age-only eviction must ignore EPC pressure"
     );
     assert_eq!(age_only.admitted, warm_value.admitted, "identical trace");
-    assert!(age_only.conserves_requests());
+    assert_eq!(age_only.check(), Ok(()));
 }
 
 /// Lifecycle-tagged scenarios reproduce bit-for-bit under both policies —
@@ -339,7 +287,7 @@ fn keyservice_corpus_scenarios_fail_over_and_are_deterministic() {
         .run(5);
     assert_eq!(crashed.keyservice_crashes, 1);
     assert_eq!(crashed.dropped, 0, "failover must lose no work");
-    assert!(crashed.conserves_requests());
+    assert_eq!(crashed.check(), Ok(()));
 
     // The crash-free control admits the identical trace and pays no
     // failover re-provisions.
@@ -419,13 +367,7 @@ fn rejected_requests_leave_no_accounting_trace() {
     // admitted or rejected, never both and never dropped on the floor.
     assert_eq!(run.admitted + run.rejected, twin.admitted);
     // No latency sample and no per-model total for anything but completions.
-    assert_eq!(run.latency.count() as u64, run.completed);
-    let per_model: usize = run
-        .per_model_latency
-        .values()
-        .map(sesemi_sim::LatencyStats::count)
-        .sum();
-    assert_eq!(per_model as u64, run.completed);
+    assert_eq!(run.check(), Ok(()));
     // Rejected and shed requests are never dispatched, so on this
     // fault-free run every dispatch maps to a distinct admitted request.
     assert_eq!(run.requeued_inflight, 0);
@@ -465,8 +407,7 @@ fn queue_bound_rejection_unwinds_fnpacker_routing_state() {
         result.rejected > 0,
         "30 rps on one slot must overflow the bound"
     );
-    assert!(result.conserves_requests());
-    assert_eq!(result.latency.count() as u64, result.completed);
+    assert_eq!(result.check(), Ok(()));
     assert!(result.dispatched <= result.admitted);
 }
 
@@ -493,102 +434,20 @@ fn shedding_corpus_scenarios_are_deterministic() {
     }
 }
 
-/// Memory budget that fits exactly one single-threaded container of
-/// `profile` on a node (the registry's over-capacity scenarios use the
-/// same arithmetic).
-fn one_container_budget(profile: &ModelProfile) -> u64 {
-    sesemi_platform::PlatformConfig::round_memory_budget(profile.enclave_bytes_for_concurrency(1))
-}
-
 // ---------------------------------------------------------------------------
 // Random fault plans (property tests with shrinking)
 // ---------------------------------------------------------------------------
 
-/// A decoded random fault, kept abstract so the shrinker can re-apply a
-/// sub-plan to a fresh builder.
-#[derive(Clone, Debug, PartialEq)]
-enum PlanFault {
-    Crash { at_ms: u64, node: usize },
-    Kill { at_ms: u64, model_index: usize },
-}
-
-/// Decodes one raw 64-bit draw into a valid fault for the given builder:
-/// bit 0 picks the kind, the low half picks a time inside the first
-/// minute, the high half picks the target (wrapped into bounds).
-fn decode_fault(raw: u64) -> PlanFault {
-    let at_ms = (raw >> 1) % 60_000;
-    let target = (raw >> 33) as usize;
-    if raw & 1 == 0 {
-        PlanFault::Crash {
-            at_ms,
-            node: target,
-        }
-    } else {
-        PlanFault::Kill {
-            at_ms,
-            model_index: target,
-        }
-    }
-}
-
-fn apply_plan(builder: ScenarioBuilder, faults: &[PlanFault]) -> Scenario {
-    let bound = builder.node_pool_bound();
-    let models = builder.model_ids();
-    let mut builder = builder.clear_faults();
-    for fault in faults {
-        builder = match fault {
-            PlanFault::Crash { at_ms, node } => {
-                builder.node_crash(SimTime::from_millis(*at_ms), node % bound)
-            }
-            PlanFault::Kill { at_ms, model_index } => builder.container_kill(
-                SimTime::from_millis(*at_ms),
-                models[model_index % models.len()].clone(),
-            ),
-        };
-    }
-    builder.build()
-}
-
 /// Runs a quick corpus scenario under the plan; `Err` carries the reason —
-/// a panic anywhere in the simulator (including the conservation assert in
-/// `Scenario::run`) or an inconsistent result.
+/// a panic anywhere in the simulator (including the ledger check in
+/// `Scenario::run`) or a ledger violation.
 fn run_plan(id: &str, seed: u64, faults: &[PlanFault]) -> Result<(), String> {
     let registry = ScenarioRegistry::corpus();
     let builder = registry.get(id).expect("quick corpus id").builder(seed);
     let scenario = apply_plan(builder, faults);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario.run()))
         .map_err(|_| "the simulator panicked".to_string())?;
-    if !result.conserves_requests() {
-        return Err(format!(
-            "conservation violated: admitted {} != completed {} + dropped {}",
-            result.admitted, result.completed, result.dropped
-        ));
-    }
-    if result.latency.count() as u64 != result.completed {
-        return Err("latency samples != completions".to_string());
-    }
-    Ok(())
-}
-
-/// Greedy delta-debugging: repeatedly drop any fault whose removal keeps
-/// the plan failing, until the plan is 1-minimal.
-fn shrink_to_minimal(faults: &[PlanFault], fails: &dyn Fn(&[PlanFault]) -> bool) -> Vec<PlanFault> {
-    let mut current = faults.to_vec();
-    loop {
-        let mut shrunk = false;
-        for index in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(index);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
-    }
+    result.check().map_err(|violation| violation.to_string())
 }
 
 proptest! {
@@ -654,8 +513,8 @@ fn admission_probe(
 }
 
 /// Runs the probe under `kind` and its admit-all twin (identical trace,
-/// identical faults) and checks the admission accounting identities;
-/// `Err` carries the reason for the shrinker.
+/// identical faults) and checks the run ledger and the admission
+/// partition; `Err` carries the reason for the shrinker.
 #[allow(clippy::too_many_arguments)]
 fn run_admission_probe(
     seed: u64,
@@ -677,21 +536,7 @@ fn run_admission_probe(
     };
     let result = run_kind(kind)?;
     let baseline = run_kind(AdmissionKind::AdmitAll)?;
-    if !result.conserves_requests() {
-        return Err(format!(
-            "conservation violated: admitted {} != completed {} + dropped {}",
-            result.admitted, result.completed, result.dropped
-        ));
-    }
-    if result.latency.count() as u64 != result.completed {
-        return Err("latency samples != completions".to_string());
-    }
-    if result.shed > result.dropped {
-        return Err(format!(
-            "shed {} exceeds dropped {}",
-            result.shed, result.dropped
-        ));
-    }
+    result.check().map_err(|violation| violation.to_string())?;
     if baseline.rejected != 0 {
         return Err("admit-all rejected open-loop work".to_string());
     }
@@ -710,9 +555,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random over-capacity MMPP bursts x random admission policies x small
-    /// random fault plans uphold the admission accounting identities:
-    /// conservation, one latency sample per completion, `shed <= dropped`,
-    /// and `admitted + rejected ==` the admit-all twin's arrival count.
+    /// random fault plans uphold the admission accounting identities: the
+    /// run ledger (conservation, one latency sample per completion,
+    /// `shed <= dropped`, ...) and `admitted + rejected ==` the admit-all
+    /// twin's arrival count.
     /// Failures shrink to a 1-minimal fault plan.
     #[test]
     fn random_admission_policies_uphold_accounting(
