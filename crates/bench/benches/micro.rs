@@ -1,8 +1,9 @@
 //! Micro-benchmarks and ablations on the real (non-simulated) components:
-//! AEAD throughput, the RA-TLS handshake, KeyService operations, the SeMIRT
-//! hot path on a scaled-down model, `MODEL_EXEC` and `RUNTIME_INIT` on
-//! full-size MBNET (the `inference` group), and the FnPacker routing
-//! decision.
+//! AEAD throughput, X25519 key generation and Diffie–Hellman (the RA-TLS
+//! handshake's cost), the SeMIRT hot path and the warm path's attested
+//! KeyService key fetch on a scaled-down model, `MODEL_EXEC` and
+//! `RUNTIME_INIT` on full-size MBNET (the `inference` group), and the
+//! FnPacker routing decision.
 //!
 //! These complement the per-figure benches: they measure the actual Rust
 //! implementations rather than the calibrated cost model, and include one
@@ -10,11 +11,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesemi::deployment::Deployment;
+use sesemi::semirt::InvocationPath;
 use sesemi_crypto::aead::{Aead, AeadKey, Nonce};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
 use sesemi_crypto::gcm::Aes128Gcm;
 use sesemi_crypto::rng::SessionRng;
 use sesemi_crypto::sha256::sha256;
+use sesemi_crypto::x25519::EphemeralKeyPair;
 use sesemi_fnpacker::{FnPacker, FnPool};
 use sesemi_inference::{Framework, ModelId, ModelKind};
 use sesemi_sim::{SimDuration, SimTime};
@@ -54,9 +57,14 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("sha256_64KiB", |b| b.iter(|| sha256(&payload)));
     group.bench_function("x25519_diffie_hellman", |b| {
         let mut rng = SessionRng::from_seed(1);
-        let alice = sesemi_crypto::x25519::EphemeralKeyPair::generate(&mut rng);
-        let bob = sesemi_crypto::x25519::EphemeralKeyPair::generate(&mut rng);
+        let alice = EphemeralKeyPair::generate(&mut rng);
+        let bob = EphemeralKeyPair::generate(&mut rng);
         b.iter(|| alice.diffie_hellman(&bob.public).unwrap())
+    });
+    // Each RA-TLS handshake makes two key pairs and two shared secrets.
+    group.bench_function("x25519_keygen", |b| {
+        let mut rng = SessionRng::from_seed(2);
+        b.iter(|| EphemeralKeyPair::generate(&mut rng).public)
     });
     group.finish();
 }
@@ -101,6 +109,38 @@ fn bench_end_to_end(c: &mut Criterion) {
             },
         );
     }
+
+    // One single-TCS instance serving two users in turn: the one-entry key
+    // cache always holds the other user's keys, so every request is warm and
+    // pays a mutually attested KeyService key fetch.  This is the path most
+    // `churn` requests in `perfbench` take.
+    let mut deployment = Deployment::builder().seed(5).build();
+    let mut owner = deployment.register_owner("hospital");
+    let mut users = [
+        deployment.register_user("patient-a"),
+        deployment.register_user("patient-b"),
+    ];
+    let model = owner
+        .publish_model(&deployment, ModelKind::MbNet, 0.02)
+        .unwrap();
+    let function = deployment.deploy_function(Framework::Tvm, 1).unwrap();
+    for user in &mut users {
+        owner
+            .grant_access(&deployment, &model, &function, user.party())
+            .unwrap();
+        user.authorize(&deployment, &model, &function).unwrap();
+    }
+    let features = vec![0.2f32; deployment.model_input_dim(&model).unwrap()];
+    let mut turn = 0;
+    let mut infer_next = || {
+        turn ^= 1;
+        deployment
+            .infer(&users[turn], &function, &model, &features)
+            .unwrap()
+    };
+    infer_next();
+    assert_eq!(infer_next().report.path, InvocationPath::Warm);
+    group.bench_function("warm_key_fetch_scaled_mbnet", |b| b.iter(&mut infer_next));
     group.finish();
 }
 

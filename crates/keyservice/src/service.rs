@@ -740,4 +740,46 @@ mod tests {
         let (_, _connection) = client_channel(&service, &verifier, &mut rng);
         assert_eq!(service.open_connections(), 8);
     }
+
+    #[test]
+    fn small_order_client_keys_are_refused_without_leaking_a_tcs() {
+        // The host picks the client hello's ephemeral key.  A point of small
+        // order (RFC 7748 §7: orders 1, 2, 4 and 8, and the encodings p and
+        // p + 1) forces an all-zero shared secret, which the handshake must
+        // refuse, with or without bit 255 set.
+        const SMALL_ORDER: [&str; 7] = [
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+            "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        ];
+        let (service, verifier) = service_fixture();
+        let mut rng = SessionRng::from_seed(16);
+        let (_channel, _connection) = client_channel(&service, &verifier, &mut rng);
+        let threads_inside = service.enclave().threads_inside();
+        for encoded in SMALL_ORDER {
+            let mut key = [0u8; 32];
+            for (i, byte) in key.iter_mut().enumerate() {
+                *byte = u8::from_str_radix(&encoded[2 * i..2 * i + 2], 16).unwrap();
+            }
+            for high_bit in [0, 0x80] {
+                key[31] |= high_bit;
+                let hello = InitiatorHello {
+                    ephemeral_public: key,
+                    quote: None,
+                };
+                let result = service.accept_connection(&hello, &mut rng);
+                assert!(
+                    matches!(result, Err(KeyServiceError::Channel(_))),
+                    "{encoded} with bit 255 = {}: {result:?}",
+                    high_bit >> 7
+                );
+                assert_eq!(service.open_connections(), 1);
+                assert_eq!(service.enclave().threads_inside(), threads_inside);
+            }
+        }
+    }
 }

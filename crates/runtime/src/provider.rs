@@ -78,13 +78,16 @@ impl KeyProvider for KeyServiceProvider {
         user: PartyId,
         model: &ModelId,
     ) -> Result<(AeadKey, AeadKey, SimDuration), RuntimeError> {
-        let mut rng = self.rng.lock();
+        // Draw this fetch's seed under the lock and run the handshake without
+        // it: one provider serves every instance of a deployment, so holding
+        // the lock would run every key fetch in the process one at a time.
+        let mut rng = SessionRng::from_seed(self.rng.lock().next_u64());
         // Mutual attestation: SeMIRT proves its identity, verifies E_K.
         let (initiator, quote_latency) =
-            HandshakeInitiator::new_attested(enclave, &mut *rng).map_err(RuntimeError::from)?;
+            HandshakeInitiator::new_attested(enclave, &mut rng).map_err(RuntimeError::from)?;
         let (responder_hello, connection, responder_quote_latency) = self
             .service
-            .accept_connection(&initiator.hello(), &mut *rng)
+            .accept_connection(&initiator.hello(), &mut rng)
             .map_err(RuntimeError::from)?;
         let mut channel = initiator
             .finish(&responder_hello, &self.verifier, &self.expected_keyservice)

@@ -335,35 +335,38 @@ impl SemirtInstance {
         }
 
         // --- Keys (Algorithm 2, lines 6-10) -------------------------------
-        let mut key_cache_hit = false;
-        let (model_key, request_key) = {
-            let mut cache = self.key_cache.lock();
-            let usable = !self.config.strong_isolation;
-            match cache.as_ref() {
-                Some(entry)
-                    if usable && entry.user == request.user && entry.model == request.model =>
-                {
-                    key_cache_hit = true;
-                    (entry.model_key.clone(), entry.request_key.clone())
+        // The cache is locked only to look up and to fill, never across the
+        // fetch, so a worker that needs other keys does not wait out another
+        // worker's attested handshake.  Each request uses the keys it looked
+        // up or fetched, whatever another worker stores meanwhile.
+        let usable = !self.config.strong_isolation;
+        let cached = if usable {
+            self.key_cache
+                .lock()
+                .as_ref()
+                .filter(|entry| entry.user == request.user && entry.model == request.model)
+                .map(|entry| (entry.model_key.clone(), entry.request_key.clone()))
+        } else {
+            None
+        };
+        let key_cache_hit = cached.is_some();
+        let (model_key, request_key) = match cached {
+            Some(keys) => keys,
+            None => {
+                let (model_key, request_key, latency) =
+                    self.key_provider
+                        .fetch_keys(&self.enclave, request.user, &request.model)?;
+                stages.push(ServingStage::KeyFetch);
+                *self.last_key_fetch_latency.lock() = latency;
+                if usable {
+                    *self.key_cache.lock() = Some(KeyCacheEntry {
+                        user: request.user,
+                        model: request.model.clone(),
+                        model_key: model_key.clone(),
+                        request_key: request_key.clone(),
+                    });
                 }
-                _ => {
-                    let (model_key, request_key, latency) = self.key_provider.fetch_keys(
-                        &self.enclave,
-                        request.user,
-                        &request.model,
-                    )?;
-                    stages.push(ServingStage::KeyFetch);
-                    *self.last_key_fetch_latency.lock() = latency;
-                    if usable {
-                        *cache = Some(KeyCacheEntry {
-                            user: request.user,
-                            model: request.model.clone(),
-                            model_key: model_key.clone(),
-                            request_key: request_key.clone(),
-                        });
-                    }
-                    (model_key, request_key)
-                }
+                (model_key, request_key)
             }
         };
 
@@ -812,17 +815,50 @@ mod tests {
     }
 
     fn make_request(world: &World, seed: u64) -> InferenceRequest {
+        make_request_as(world, world.user, seed)
+    }
+
+    /// A request from `user`, sealed under the world user's request key.
+    fn make_request_as(world: &World, user: PartyId, seed: u64) -> InferenceRequest {
         let mut rng = SessionRng::from_seed(seed);
         let features: Vec<f32> = (0..world.input_dim)
             .map(|i| (i as f32 * 0.01).sin())
             .collect();
         InferenceRequest::encrypt(
-            world.user,
+            user,
             world.model_id.clone(),
             &features,
             &world.request_key,
             &mut rng,
         )
+    }
+
+    /// Hands every user the world user's keys, but parks `parked`'s fetch
+    /// until the test opens `gate`, after saying so on `entered`.
+    struct ParkingProvider {
+        inner: Arc<KeyServiceProvider>,
+        user: PartyId,
+        parked: PartyId,
+        entered: mpsc::Sender<()>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl KeyProvider for ParkingProvider {
+        fn fetch_keys(
+            &self,
+            enclave: &Enclave,
+            user: PartyId,
+            model: &ModelId,
+        ) -> Result<(AeadKey, AeadKey, SimDuration), RuntimeError> {
+            if user == self.parked {
+                self.entered
+                    .send(())
+                    .expect("the test awaits the parked fetch");
+                // A closed gate (the test gave up) releases the fetch too.
+                let _ = self.gate.lock().recv();
+            }
+            self.inner.fetch_keys(enclave, self.user, model)
+        }
     }
 
     #[test]
@@ -1013,6 +1049,57 @@ mod tests {
                 .recv_timeout(Duration::from_secs(60))
                 .expect("worker 1 waited for worker 0's slot");
             assert_eq!(served, Ok(InvocationPath::Cold));
+        });
+        assert_eq!(instance.enclave().threads_inside(), 0);
+    }
+
+    #[test]
+    fn a_worker_fetches_keys_while_another_workers_fetch_is_parked() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let parked = PartyId::from_identity_key(&AeadKey::from_bytes([9u8; 16]));
+        let (entered, fetch_parked) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        let provider = ParkingProvider {
+            inner: Arc::clone(&world.provider),
+            user: world.user,
+            parked,
+            entered,
+            gate: Mutex::new(gate),
+        };
+        let instance = SemirtInstance::launch(
+            &world.platform,
+            &world.authority,
+            world.semirt_config.clone(),
+            Arc::new(provider) as Arc<dyn KeyProvider>,
+            world.store.clone() as Arc<dyn ModelFetcher>,
+            1,
+            42,
+        )
+        .unwrap()
+        .0;
+        let parked_request = make_request_as(&world, parked, 1);
+        let request = make_request(&world, 2);
+        let (sender, receiver) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let parked_worker = scope.spawn(|| {
+                instance
+                    .handle_request(0, &parked_request)
+                    .map(|(_, r)| r.path)
+            });
+            fetch_parked
+                .recv_timeout(Duration::from_secs(60))
+                .expect("worker 0 reaches its key fetch");
+            scope.spawn(|| {
+                let served = instance.handle_request(1, &request).map(|(_, r)| r.path);
+                sender.send(served).expect("the test awaits the result");
+            });
+            let served = receiver.recv_timeout(Duration::from_secs(60));
+            release.send(()).expect("worker 0 is parked");
+            assert_eq!(
+                served.expect("worker 1 waited for worker 0's key fetch"),
+                Ok(InvocationPath::Warm)
+            );
+            assert_eq!(parked_worker.join().unwrap(), Ok(InvocationPath::Cold));
         });
         assert_eq!(instance.enclave().threads_inside(), 0);
     }
