@@ -4,7 +4,8 @@
 //! corresponding artifact, so `cargo bench` both exercises the full
 //! experiment pipeline and reports how long each reproduction takes.  The
 //! actual experiment output (paper-vs-measured) is produced by the
-//! `experiments` binary and recorded in EXPERIMENTS.md.
+//! `experiments` binary (see README's "Regenerating the paper's
+//! evaluation").
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

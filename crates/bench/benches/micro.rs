@@ -1,9 +1,10 @@
 //! Micro-benchmarks and ablations on the real (non-simulated) components:
 //! AEAD throughput, X25519 key generation and Diffie–Hellman (the RA-TLS
-//! handshake's cost), the SeMIRT hot path and the warm path's attested
-//! KeyService key fetch on a scaled-down model, `MODEL_EXEC` and
-//! `RUNTIME_INIT` on full-size MBNET (the `inference` group), and the
-//! FnPacker routing decision.
+//! handshake's cost), one `KEY_PROVISIONING` fetch over a full attested
+//! handshake and over a resumed one (the `keyservice` group), the SeMIRT hot
+//! path and the warm path's KeyService key fetch on a scaled-down model,
+//! `MODEL_EXEC` and `RUNTIME_INIT` on full-size MBNET (the `inference`
+//! group), and the FnPacker routing decision.
 //!
 //! These complement the per-figure benches: they measure the actual Rust
 //! implementations rather than the calibrated cost model, and include one
@@ -11,16 +12,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesemi::deployment::Deployment;
-use sesemi::semirt::InvocationPath;
+use sesemi::keyservice::{KeyService, OwnerClient, PartyId, UserClient};
+use sesemi::semirt::{InvocationPath, KeyProvider, KeyServiceProvider, SemirtConfig};
 use sesemi_crypto::aead::{Aead, AeadKey, Nonce};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
 use sesemi_crypto::gcm::Aes128Gcm;
 use sesemi_crypto::rng::SessionRng;
 use sesemi_crypto::sha256::sha256;
 use sesemi_crypto::x25519::EphemeralKeyPair;
+use sesemi_enclave::attest::{AttestationAuthority, AttestationScheme};
+use sesemi_enclave::{CodeIdentity, Enclave, EnclaveConfig, SgxPlatform};
 use sesemi_fnpacker::{FnPacker, FnPool};
 use sesemi_inference::{Framework, ModelId, ModelKind};
 use sesemi_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -69,6 +74,106 @@ fn bench_crypto(c: &mut Criterion) {
     group.finish();
 }
 
+/// A KeyService and a SeMIRT enclave it may provision, with one user's
+/// grant and request key in place: the two ends of a key fetch.
+fn key_fetch_world() -> (KeyServiceProvider, Enclave, PartyId, ModelId) {
+    const MB: u64 = 1024 * 1024;
+    let mut rng = SessionRng::from_seed(9);
+    let platform = SgxPlatform::paper_sgx2_node("node-0");
+    let authority = AttestationAuthority::new(9);
+    authority.register_platform("node-0", AttestationScheme::EcdsaDcap);
+    let verifier = authority.verifier();
+    let launch = |identity: CodeIdentity, tcs_count: usize| {
+        Enclave::launch(
+            &platform,
+            &authority,
+            identity,
+            EnclaveConfig::new(64 * MB, tcs_count),
+            1,
+        )
+        .unwrap()
+        .0
+    };
+    let keyservice = Arc::new(KeyService::new(
+        Arc::new(launch(
+            CodeIdentity::new("keyservice", b"keyservice".to_vec(), "1.0"),
+            16,
+        )),
+        verifier.clone(),
+    ));
+    let semirt = launch(
+        SemirtConfig::new(Framework::Tvm, 64 * MB, 1).code_identity(),
+        1,
+    );
+    let expected = keyservice.measurement();
+    let model = ModelId::new("mbnet");
+    let mut owner = OwnerClient::connect(
+        &keyservice,
+        &verifier,
+        &expected,
+        AeadKey::generate(&mut rng),
+        &mut rng,
+    )
+    .unwrap();
+    let mut user = UserClient::connect(
+        &keyservice,
+        &verifier,
+        &expected,
+        AeadKey::generate(&mut rng),
+        &mut rng,
+    )
+    .unwrap();
+    owner.register(&keyservice).unwrap();
+    let party = user.register(&keyservice).unwrap();
+    owner
+        .add_model_key(&keyservice, &model, &AeadKey::generate(&mut rng), &mut rng)
+        .unwrap();
+    owner
+        .grant_access(&keyservice, &model, semirt.measurement(), party, &mut rng)
+        .unwrap();
+    user.add_request_key(
+        &keyservice,
+        &model,
+        semirt.measurement(),
+        &AeadKey::generate(&mut rng),
+        &mut rng,
+    )
+    .unwrap();
+    let provider = KeyServiceProvider::new(keyservice, verifier, expected, 10);
+    (provider, semirt, party, model)
+}
+
+fn bench_keyservice(c: &mut Criterion) {
+    let mut group = c.benchmark_group("keyservice");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_secs(2));
+    // Each iteration opens a connection, sends one `Provision` record, reads
+    // the keys and closes the connection: an instance's first key fetch
+    // attests in full, every later one resumes the session it left.
+    let (provider, semirt, user, model) = key_fetch_world();
+    group.bench_function("provision_full", |b| {
+        b.iter(|| {
+            provider
+                .fetch_keys(&semirt, &mut None, user, &model)
+                .unwrap()
+        })
+    });
+    let mut session = None;
+    provider
+        .fetch_keys(&semirt, &mut session, user, &model)
+        .unwrap();
+    group.bench_function("provision_resumed", |b| {
+        b.iter(|| {
+            provider
+                .fetch_keys(&semirt, &mut session, user, &model)
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("end-to-end");
     group
@@ -112,8 +217,8 @@ fn bench_end_to_end(c: &mut Criterion) {
 
     // One single-TCS instance serving two users in turn: the one-entry key
     // cache always holds the other user's keys, so every request is warm and
-    // pays a mutually attested KeyService key fetch.  This is the path most
-    // `churn` requests in `perfbench` take.
+    // pays a KeyService key fetch, which resumes the instance's attested
+    // session.  This is the path most `churn` requests in `perfbench` take.
     let mut deployment = Deployment::builder().seed(5).build();
     let mut owner = deployment.register_owner("hospital");
     let mut users = [
@@ -255,6 +360,7 @@ fn bench_schedule_dispatch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crypto,
+    bench_keyservice,
     bench_end_to_end,
     bench_inference,
     bench_fnpacker_ablation,

@@ -4,8 +4,9 @@
 //! evaluation (§VI and the appendix), each returning a [`report::Report`]
 //! that the `experiments` binary renders as a Markdown table.  The Criterion
 //! benchmarks under `benches/` wrap the same functions so `cargo bench`
-//! exercises every experiment, and `EXPERIMENTS.md` records the paper-vs-
-//! measured comparison.
+//! exercises every experiment; README's "Regenerating the paper's
+//! evaluation" section shows how to produce the paper-vs-measured
+//! comparison.
 //!
 //! Experiment index (see DESIGN.md for the full mapping):
 //!

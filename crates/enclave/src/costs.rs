@@ -16,8 +16,9 @@
 //!   linearly as concurrent quote generations contend.
 //! * **Key fetch** (Fig. 17 "1st key fetch" bars, ~1.0–1.2 s on SGX2): the
 //!   mutual RA-TLS handshake between a SeMIRT enclave and KeyService, i.e.
-//!   quote generation + verification on both sides plus channel setup; the
-//!   non-quote part is captured by [`EnclaveCostModel::ratls_handshake`].
+//!   quote generation + verification on both sides plus channel setup.  The
+//!   simulator prices the whole stage from `sesemi_inference`'s
+//!   `StageCosts::key_fetch`, not from this model.
 //! * **EPC paging**: the multiplicative pressure factor of
 //!   [`crate::epc::EpcManager`] scales memory-bound stages when the committed
 //!   enclave memory exceeds the physical EPC (Fig. 11b).
@@ -45,9 +46,6 @@ pub struct EnclaveCostModel {
     /// Latency of verifying a quote (IAS round-trip for EPID, local ECDSA
     /// check for DCAP).
     pub quote_verify: SimDuration,
-    /// Non-attestation part of an RA-TLS handshake (X25519 + key schedule +
-    /// two network flights inside the cluster).
-    pub handshake_base: SimDuration,
     /// Cost of a single ECALL / OCALL transition (enclave boundary crossing).
     pub ecall_transition: SimDuration,
     /// AEAD throughput inside the enclave, bytes per second, used to price
@@ -69,7 +67,6 @@ impl EnclaveCostModel {
                 quote_base: SimDuration::from_millis(60),
                 quote_concurrency_penalty: 0.60,
                 quote_verify: SimDuration::from_millis(25),
-                handshake_base: SimDuration::from_millis(380),
                 ecall_transition: SimDuration::from_micros(8),
                 aead_bytes_per_sec: 1.2e9,
             },
@@ -81,7 +78,6 @@ impl EnclaveCostModel {
                 quote_base: SimDuration::from_millis(450),
                 quote_concurrency_penalty: 0.45,
                 quote_verify: SimDuration::from_millis(350),
-                handshake_base: SimDuration::from_millis(420),
                 ecall_transition: SimDuration::from_micros(10),
                 aead_bytes_per_sec: 0.9e9,
             },
@@ -118,27 +114,6 @@ impl EnclaveCostModel {
     #[must_use]
     pub fn quote_verification(&self) -> SimDuration {
         self.quote_verify
-    }
-
-    /// Full mutual RA-TLS handshake latency (both sides generate and verify
-    /// quotes, then run the key exchange), e.g. SeMIRT ↔ KeyService key fetch.
-    ///
-    /// With one enclave attesting on an idle SGX2 node this evaluates to
-    /// ≈ 0.38 + 2·0.06 + 2·0.025 s ≈ 0.55 s; together with KeyService-side
-    /// processing and the network this lands in the 1.0–1.2 s band the paper
-    /// reports for the first key fetch (Fig. 17).
-    #[must_use]
-    pub fn ratls_handshake(&self, concurrent_quotes: usize) -> SimDuration {
-        self.handshake_base
-            + self.quote_generation(concurrent_quotes) * 2
-            + self.quote_verification() * 2
-    }
-
-    /// One-way attestation (client attests KeyService only), used by owner /
-    /// user registration.
-    #[must_use]
-    pub fn ratls_handshake_one_way(&self, concurrent_quotes: usize) -> SimDuration {
-        self.handshake_base + self.quote_generation(concurrent_quotes) + self.quote_verification()
     }
 
     /// Latency of an ECALL or OCALL boundary crossing.
@@ -226,15 +201,6 @@ mod tests {
             verification_latency(AttestationScheme::Epid)
                 > verification_latency(AttestationScheme::EcdsaDcap)
         );
-    }
-
-    #[test]
-    fn first_key_fetch_lands_in_papers_band() {
-        // Fig. 17: the "1st key fetch" stage is 1.04–1.22 s on SGX2.  The
-        // handshake model accounts for the enclave-side share of that budget.
-        let model = EnclaveCostModel::for_version(SgxVersion::Sgx2);
-        let t = model.ratls_handshake(1).as_secs_f64();
-        assert!((0.4..1.3).contains(&t), "handshake = {t}s");
     }
 
     #[test]

@@ -17,6 +17,43 @@
 //! enclave does not control.  Session keys are derived with HKDF over the
 //! shared secret and the handshake transcript, and records are protected with
 //! ChaCha20-Poly1305 using per-direction keys and sequence-number nonces.
+//!
+//! # Resumed handshakes
+//!
+//! Every channel also derives a 32-byte resumption secret from the same
+//! keying material, under its own HKDF label.  A responder may seal that
+//! secret, with the initiator's attested measurement, into an opaque ticket
+//! only it can open (the KeyService does so for SeMIRT).  The initiator keeps
+//! the ticket and the secret as a [`ResumptionSession`].  A later connection
+//! between the same two enclaves then runs a PSK-only handshake, like TLS 1.3
+//! `psk_ke` resumption (RFC 8446 §2.2): the initiator sends the ticket and a
+//! fresh nonce ([`ResumeHello`]), the responder opens the ticket and answers
+//! with its own fresh nonce, and both ends key the channel with HKDF, salted
+//! with the hash of the ticket and both nonces and keyed by the resumption
+//! secret.  No quote is generated and no Diffie–Hellman runs.
+//!
+//! What a resumed channel proves: only the two enclaves that completed the
+//! full handshake know the resumption secret, so a record that authenticates
+//! comes from the peer that was attested there, with the measurement the
+//! ticket carries.  Both nonces are fresh, so every resumption gets its own
+//! keys even from one ticket, and records of one connection fail on another.
+//! The responder's possession of the secret is confirmed by its first record,
+//! not by the handshake flights.
+//!
+//! Its limits:
+//!
+//! * No forward secrecy with respect to the resumption secret, as with TLS
+//!   1.3 `psk_ke`: whoever learns it can derive the keys of every channel
+//!   resumed from it.  The secret never leaves enclave memory; the host only
+//!   ever sees the sealed ticket.
+//! * The platform's attestation is checked only at the full handshake.
+//!   De-registering a platform therefore stops new enclaves on it, not a
+//!   running enclave that already holds a session, just as SeMIRT's key cache
+//!   already lets a running enclave keep serving keys it holds.
+//! * The ticket travels outside the channel, so the host can swap or corrupt
+//!   it.  That costs availability only: the responder declines a ticket it
+//!   cannot open, and a ticket paired with the wrong secret yields records
+//!   that fail authentication.
 
 use crate::attest::{Quote, QuoteVerifier};
 use crate::enclave::Enclave;
@@ -25,8 +62,8 @@ use crate::measurement::Measurement;
 use rand::RngCore;
 use sesemi_crypto::aead::{Aead, Nonce};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
-use sesemi_crypto::hkdf::hkdf;
-use sesemi_crypto::sha256::sha256_parts;
+use sesemi_crypto::hkdf::{hkdf_expand, hkdf_extract};
+use sesemi_crypto::sha256::{sha256_parts, Digest};
 use sesemi_crypto::x25519::EphemeralKeyPair;
 use sesemi_sim::SimDuration;
 
@@ -47,6 +84,10 @@ pub struct ResponderHello {
     pub ephemeral_public: [u8; 32],
     /// Responder's quote, binding `ephemeral_public` via the report data.
     pub quote: Quote,
+    /// A resumption ticket the responder application issued for this
+    /// session ([`respond`] issues none).  Opaque to the initiator, which
+    /// keeps it in a [`ResumptionSession`].
+    pub ticket: Option<Vec<u8>>,
 }
 
 /// Binds an ephemeral public key (and optionally the peer's) into the 64-byte
@@ -61,19 +102,64 @@ fn bind_key_to_report(own_public: &[u8; 32], peer_public: Option<&[u8; 32]>) -> 
     report
 }
 
-fn derive_directional_keys(
-    shared: &[u8; 32],
-    initiator_public: &[u8; 32],
-    responder_public: &[u8; 32],
-) -> ([u8; 32], [u8; 32]) {
-    let transcript = sha256_parts(&[b"ratls-transcript", initiator_public, responder_public]);
-    let i2r = hkdf(transcript.as_bytes(), shared, b"initiator-to-responder", 32);
-    let r2i = hkdf(transcript.as_bytes(), shared, b"responder-to-initiator", 32);
-    let mut a = [0u8; 32];
-    let mut b = [0u8; 32];
-    a.copy_from_slice(&i2r);
-    b.copy_from_slice(&r2i);
-    (a, b)
+/// Everything one handshake derives from its keying material under its
+/// transcript: a record key per direction, the channel id and the
+/// resumption secret.
+struct KeySchedule {
+    initiator_to_responder: [u8; 32],
+    responder_to_initiator: [u8; 32],
+    resumption_secret: [u8; 32],
+    channel_id: u32,
+}
+
+impl KeySchedule {
+    fn derive(transcript: &Digest, keying_material: &[u8; 32]) -> Self {
+        let prk = hkdf_extract(transcript.as_bytes(), keying_material);
+        let expand = |label: &[u8]| {
+            let mut key = [0u8; 32];
+            hkdf_expand(&prk, label, &mut key);
+            key
+        };
+        let id = sha256_parts(&[b"ratls-channel-id", transcript.as_bytes()]);
+        let id = id.as_bytes();
+        KeySchedule {
+            initiator_to_responder: expand(b"initiator-to-responder"),
+            responder_to_initiator: expand(b"responder-to-initiator"),
+            resumption_secret: expand(b"resumption-secret"),
+            channel_id: u32::from_be_bytes([id[0], id[1], id[2], id[3]]),
+        }
+    }
+
+    fn initiator_channel(self, peer_measurement: Option<Measurement>) -> SecureChannel {
+        let (send, recv) = (self.initiator_to_responder, self.responder_to_initiator);
+        self.channel(send, recv, peer_measurement)
+    }
+
+    fn responder_channel(self, peer_measurement: Option<Measurement>) -> SecureChannel {
+        let (send, recv) = (self.responder_to_initiator, self.initiator_to_responder);
+        self.channel(send, recv, peer_measurement)
+    }
+
+    fn channel(
+        self,
+        send: [u8; 32],
+        recv: [u8; 32],
+        peer_measurement: Option<Measurement>,
+    ) -> SecureChannel {
+        SecureChannel {
+            send_cipher: ChaCha20Poly1305::from_full_key(send),
+            recv_cipher: ChaCha20Poly1305::from_full_key(recv),
+            send_seq: 0,
+            recv_seq: 0,
+            channel_id: self.channel_id,
+            peer_measurement,
+            resumption_secret: self.resumption_secret,
+        }
+    }
+}
+
+fn full_transcript(initiator_public: &[u8; 32], responder_public: &[u8; 32]) -> Digest {
+    sha256_parts(&[b"ratls-transcript", initiator_public, responder_public])
 }
 
 /// An established attested channel.
@@ -87,6 +173,7 @@ pub struct SecureChannel {
     recv_seq: u64,
     channel_id: u32,
     peer_measurement: Option<Measurement>,
+    resumption_secret: [u8; 32],
 }
 
 impl std::fmt::Debug for SecureChannel {
@@ -105,6 +192,14 @@ impl SecureChannel {
     #[must_use]
     pub fn peer_measurement(&self) -> Option<Measurement> {
         self.peer_measurement
+    }
+
+    /// The secret a later resumed handshake keys from (see the module docs).
+    /// Both ends derive the same one; it must never leave enclave memory
+    /// except sealed into a ticket.
+    #[must_use]
+    pub fn resumption_secret(&self) -> &[u8; 32] {
+        &self.resumption_secret
     }
 
     /// Encrypts and frames `plaintext` for the peer.
@@ -193,30 +288,10 @@ impl HandshakeInitiator {
             .keypair
             .diffie_hellman(&responder.ephemeral_public)
             .map_err(EnclaveError::from)?;
-        let (i2r, r2i) = derive_directional_keys(
-            &shared,
-            &self.hello.ephemeral_public,
-            &responder.ephemeral_public,
-        );
-        Ok(SecureChannel {
-            send_cipher: ChaCha20Poly1305::from_full_key(i2r),
-            recv_cipher: ChaCha20Poly1305::from_full_key(r2i),
-            send_seq: 0,
-            recv_seq: 0,
-            channel_id: channel_id_from(&self.hello.ephemeral_public, &responder.ephemeral_public),
-            peer_measurement: Some(responder.quote.measurement),
-        })
+        let transcript = full_transcript(&self.hello.ephemeral_public, &responder.ephemeral_public);
+        Ok(KeySchedule::derive(&transcript, &shared)
+            .initiator_channel(Some(responder.quote.measurement)))
     }
-}
-
-fn channel_id_from(initiator_public: &[u8; 32], responder_public: &[u8; 32]) -> u32 {
-    let digest = sha256_parts(&[b"ratls-channel-id", initiator_public, responder_public]);
-    u32::from_be_bytes([
-        digest.as_bytes()[0],
-        digest.as_bytes()[1],
-        digest.as_bytes()[2],
-        digest.as_bytes()[3],
-    ])
 }
 
 /// Outcome of the responder side of the handshake.
@@ -266,25 +341,99 @@ pub fn respond<R: RngCore>(
     let shared = keypair
         .diffie_hellman(&initiator.ephemeral_public)
         .map_err(EnclaveError::from)?;
-    let (i2r, r2i) = derive_directional_keys(&shared, &initiator.ephemeral_public, &keypair.public);
-    let channel = SecureChannel {
-        // The responder sends with the r2i key and receives with i2r.
-        send_cipher: ChaCha20Poly1305::from_full_key(r2i),
-        recv_cipher: ChaCha20Poly1305::from_full_key(i2r),
-        send_seq: 0,
-        recv_seq: 0,
-        channel_id: channel_id_from(&initiator.ephemeral_public, &keypair.public),
-        peer_measurement: initiator_measurement,
-    };
+    let transcript = full_transcript(&initiator.ephemeral_public, &keypair.public);
+    let channel =
+        KeySchedule::derive(&transcript, &shared).responder_channel(initiator_measurement);
     Ok(ResponderResult {
         hello: ResponderHello {
             ephemeral_public: keypair.public,
             quote,
+            ticket: None,
         },
         channel,
         initiator_measurement,
         quote_latency,
     })
+}
+
+/// First flight of a resumed handshake: the ticket the responder issued at
+/// the full handshake, and a fresh initiator nonce.
+#[derive(Clone, Debug)]
+pub struct ResumeHello {
+    /// The responder's sealed ticket, as issued.
+    pub ticket: Vec<u8>,
+    /// The initiator's fresh nonce.
+    pub nonce: [u8; 32],
+}
+
+/// What an initiator keeps from a full handshake to resume it later: the
+/// responder's ticket, the channel's resumption secret and the responder's
+/// attested measurement.
+#[derive(Clone)]
+pub struct ResumptionSession {
+    /// The responder's ticket: opaque sealed bytes, which the host may see.
+    pub ticket: Vec<u8>,
+    secret: [u8; 32],
+    peer_measurement: Option<Measurement>,
+}
+
+impl ResumptionSession {
+    /// Keeps `channel`'s resumption secret under the `ticket` its responder
+    /// issued for it.
+    #[must_use]
+    pub fn new(ticket: Vec<u8>, channel: &SecureChannel) -> Self {
+        ResumptionSession {
+            ticket,
+            secret: channel.resumption_secret,
+            peer_measurement: channel.peer_measurement,
+        }
+    }
+
+    /// Opens a resumed handshake: the ticket and a fresh nonce.
+    pub fn resume<R: RngCore>(&self, rng: &mut R) -> ResumeHello {
+        let mut nonce = [0u8; 32];
+        rng.fill_bytes(&mut nonce);
+        ResumeHello {
+            ticket: self.ticket.clone(),
+            nonce,
+        }
+    }
+
+    /// Keys the initiator's end of the channel `hello` opened, once the
+    /// responder has answered with its nonce.  The peer measurement is the
+    /// one attested at the full handshake.
+    #[must_use]
+    pub fn finish(&self, hello: &ResumeHello, responder_nonce: &[u8; 32]) -> SecureChannel {
+        KeySchedule::derive(&resumed_transcript(hello, responder_nonce), &self.secret)
+            .initiator_channel(self.peer_measurement)
+    }
+}
+
+fn resumed_transcript(hello: &ResumeHello, responder_nonce: &[u8; 32]) -> Digest {
+    sha256_parts(&[
+        b"ratls-resumed-transcript",
+        &hello.ticket,
+        &hello.nonce,
+        responder_nonce,
+    ])
+}
+
+/// Responds to a [`ResumeHello`] inside the responder enclave, once the
+/// application has opened the hello's ticket and recovered the resumption
+/// `secret` and the `initiator_measurement` sealed in it.  Returns the
+/// responder's fresh nonce, to send back, and the responder's end of the
+/// channel.
+pub fn respond_resumed<R: RngCore>(
+    hello: &ResumeHello,
+    secret: &[u8; 32],
+    initiator_measurement: Option<Measurement>,
+    rng: &mut R,
+) -> ([u8; 32], SecureChannel) {
+    let mut nonce = [0u8; 32];
+    rng.fill_bytes(&mut nonce);
+    let channel = KeySchedule::derive(&resumed_transcript(hello, &nonce), secret)
+        .responder_channel(initiator_measurement);
+    (nonce, channel)
 }
 
 #[cfg(test)]
@@ -487,5 +636,111 @@ mod tests {
         // A record from channel A cannot be decrypted on channel B.
         let record = client_a.send(b"cross-channel");
         assert!(server_b.recv(&record).is_err());
+    }
+
+    /// A mutually attested full handshake: SeMIRT's and the KeyService's
+    /// ends of the channel.
+    fn attested_pair(fx: &Fixture, seed: u64) -> (SecureChannel, SecureChannel) {
+        let verifier = fx.authority.verifier();
+        let mut rng = SessionRng::from_seed(seed);
+        let (initiator, _) = HandshakeInitiator::new_attested(&fx.semirt, &mut rng).unwrap();
+        let result = respond(&initiator.hello(), &fx.keyservice, &verifier, &mut rng).unwrap();
+        let semirt = initiator
+            .finish(&result.hello, &verifier, &fx.keyservice.measurement())
+            .unwrap();
+        (semirt, result.channel)
+    }
+
+    #[test]
+    fn both_ends_derive_one_resumption_secret_per_handshake() {
+        let fx = fixture();
+        let (semirt, keyservice) = attested_pair(&fx, 14);
+        assert_eq!(semirt.resumption_secret(), keyservice.resumption_secret());
+        let (other, _) = attested_pair(&fx, 15);
+        assert_ne!(semirt.resumption_secret(), other.resumption_secret());
+    }
+
+    #[test]
+    fn a_resumed_channel_carries_records_without_a_quote() {
+        let fx = fixture();
+        let (semirt, keyservice) = attested_pair(&fx, 16);
+        let session = ResumptionSession::new(b"ticket".to_vec(), &semirt);
+        let quotes = (
+            fx.semirt.quotes_generated(),
+            fx.keyservice.quotes_generated(),
+        );
+        let mut rng = SessionRng::from_seed(17);
+
+        let hello = session.resume(&mut rng);
+        assert_eq!(hello.ticket, b"ticket");
+        let (nonce, mut responder) = respond_resumed(
+            &hello,
+            keyservice.resumption_secret(),
+            keyservice.peer_measurement(),
+            &mut rng,
+        );
+        let mut initiator = session.finish(&hello, &nonce);
+        let record = initiator.send(b"KEY_PROVISIONING request");
+        assert_eq!(
+            responder.recv(&record).unwrap(),
+            b"KEY_PROVISIONING request"
+        );
+        let reply = responder.send(b"keys");
+        assert_eq!(initiator.recv(&reply).unwrap(), b"keys");
+        // Each end keeps the measurement attested at the full handshake.
+        assert_eq!(
+            initiator.peer_measurement(),
+            Some(fx.keyservice.measurement())
+        );
+        assert_eq!(responder.peer_measurement(), Some(fx.semirt.measurement()));
+        assert_eq!(
+            (
+                fx.semirt.quotes_generated(),
+                fx.keyservice.quotes_generated()
+            ),
+            quotes
+        );
+    }
+
+    #[test]
+    fn every_resumption_from_one_session_gets_its_own_keys() {
+        let fx = fixture();
+        let (semirt, keyservice) = attested_pair(&fx, 18);
+        let session = ResumptionSession::new(b"ticket".to_vec(), &semirt);
+        let mut rng = SessionRng::from_seed(19);
+        let mut resume = || {
+            let hello = session.resume(&mut rng);
+            let (nonce, responder) =
+                respond_resumed(&hello, keyservice.resumption_secret(), None, &mut rng);
+            (session.finish(&hello, &nonce), responder)
+        };
+        let (mut first, _) = resume();
+        let (_, mut second) = resume();
+        assert!(second.recv(&first.send(b"first connection")).is_err());
+    }
+
+    #[test]
+    fn a_wrong_secret_or_a_changed_nonce_yields_records_that_fail() {
+        let fx = fixture();
+        let (semirt, keyservice) = attested_pair(&fx, 20);
+        let (stranger, _) = attested_pair(&fx, 21);
+        let mut rng = SessionRng::from_seed(22);
+        let session = ResumptionSession::new(b"ticket".to_vec(), &semirt);
+
+        // The ticket opens to another handshake's secret.
+        let hello = session.resume(&mut rng);
+        let (nonce, mut responder) =
+            respond_resumed(&hello, stranger.resumption_secret(), None, &mut rng);
+        assert!(responder
+            .recv(&session.finish(&hello, &nonce).send(b"x"))
+            .is_err());
+
+        // The host rewrites the responder's nonce in flight.
+        let (mut nonce, mut responder) =
+            respond_resumed(&hello, keyservice.resumption_secret(), None, &mut rng);
+        nonce[0] ^= 1;
+        assert!(responder
+            .recv(&session.finish(&hello, &nonce).send(b"x"))
+            .is_err());
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! Keeping every constant in one place (and labelling it with its source)
 //! makes the calibration auditable: change a constant here and the affected
-//! figures in EXPERIMENTS.md change accordingly.
+//! figures change accordingly when regenerated (README, "Regenerating the
+//! paper's evaluation").
 
 use crate::backend::Framework;
 use crate::zoo::ModelKind;

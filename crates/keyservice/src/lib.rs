@@ -22,7 +22,8 @@
 //! * [`messages`] — the encrypted request payloads exchanged with owners and
 //!   users (sealed under their long-term identity keys).
 //! * [`service`] — the connection-level service: RA-TLS endpoint, per-thread
-//!   TCS accounting, latency model for provisioning calls.
+//!   TCS accounting, resumption tickets for attested enclaves, latency model
+//!   for provisioning calls.
 //! * [`client`] — owner-side and user-side helpers that build the encrypted
 //!   payloads and drive the registration workflow.
 //! * [`replicated`] — a mesh of mutually attested KeyService replicas with

@@ -8,20 +8,37 @@
 //! per-connection [`SecureChannel`]; the request payloads for owner/user
 //! operations are *additionally* sealed under the party's long-term identity
 //! key, exactly as in Algorithm 1.
+//!
+//! After a full handshake with an attested enclave (SeMIRT), the KeyService
+//! issues a resumption ticket: the channel's resumption secret and the
+//! enclave's attested measurement, sealed under a ticket key that is drawn
+//! inside the KeyService and never leaves it.  The enclave's later
+//! connections resume from the ticket ([`KeyService::accept_resumption`])
+//! without a quote.  The KeyService keeps no session table: a ticket is
+//! valid for as long as this KeyService instance lives, and any other
+//! instance, a restarted one or a replica, declines it.
 
 use crate::error::KeyServiceError;
 use crate::keystore::{KeyStore, PartyId};
 use parking_lot::Mutex;
 use rand::RngCore;
-use sesemi_crypto::aead::{AeadKey, KEY_LEN};
+use sesemi_crypto::aead::{Aead, AeadKey, Nonce, KEY_LEN, NONCE_LEN, TAG_LEN};
+use sesemi_crypto::gcm::Aes128Gcm;
+use sesemi_crypto::sha256::Digest;
 use sesemi_enclave::enclave::TcsToken;
-use sesemi_enclave::ratls::{respond, InitiatorHello, ResponderHello, SecureChannel};
+use sesemi_enclave::ratls::{
+    respond, respond_resumed, InitiatorHello, ResponderHello, ResumeHello, SecureChannel,
+};
 use sesemi_enclave::{Enclave, Measurement, QuoteVerifier};
 use sesemi_inference::ModelId;
 use sesemi_sim::SimDuration;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// A ticket is a nonce and the sealed ⟨resumption secret, measurement⟩.
+const TICKET_LEN: usize = NONCE_LEN + 64 + TAG_LEN;
+const TICKET_AAD: &[u8] = b"sesemi-keyservice-resumption-ticket";
 
 /// Identifier of an open connection to the KeyService.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -83,7 +100,6 @@ pub enum Response {
 
 struct Connection {
     channel: SecureChannel,
-    peer_measurement: Option<Measurement>,
     _tcs: TcsToken,
 }
 
@@ -99,6 +115,9 @@ pub struct KeyService {
     connections: Mutex<HashMap<u64, Arc<Mutex<Connection>>>>,
     next_connection: AtomicU64,
     provisioning_compute: SimDuration,
+    /// Seals resumption tickets; keyed from the first attested handshake's
+    /// random stream.
+    ticket_cipher: OnceLock<Aes128Gcm>,
 }
 
 impl KeyService {
@@ -112,6 +131,7 @@ impl KeyService {
             connections: Mutex::new(HashMap::new()),
             next_connection: AtomicU64::new(0),
             provisioning_compute: SimDuration::from_millis(3),
+            ticket_cipher: OnceLock::new(),
         }
     }
 
@@ -130,7 +150,8 @@ impl KeyService {
 
     /// Accepts an RA-TLS connection: verifies the initiator's quote if
     /// present (mutual attestation for SeMIRT), produces the responder hello,
-    /// and binds the connection to a TCS.
+    /// and binds the connection to a TCS.  An initiator that presented a
+    /// quote also gets a resumption ticket in the hello.
     pub fn accept_connection<R: RngCore>(
         &self,
         hello: &InitiatorHello,
@@ -140,17 +161,77 @@ impl KeyService {
         // early return drops it and the TCS is released — a failed
         // attestation must never leak enclave concurrency.
         let tcs = self.enclave.enter().map_err(KeyServiceError::from)?;
-        let result = respond(hello, &self.enclave, &self.verifier, rng)?;
+        let mut result = respond(hello, &self.enclave, &self.verifier, rng)?;
+        if let Some(measurement) = result.initiator_measurement {
+            result.hello.ticket = Some(self.seal_ticket(&result.channel, measurement, rng));
+        }
+        let connection = self.open(result.channel, tcs);
+        Ok((result.hello, connection, result.quote_latency))
+    }
+
+    /// Accepts a resumed connection from an enclave that holds a ticket this
+    /// KeyService issued at an earlier full handshake: enters a TCS exactly
+    /// as [`KeyService::accept_connection`] does, opens the ticket and keys
+    /// the channel from its resumption secret.  Returns the KeyService's
+    /// fresh nonce for the initiator.
+    ///
+    /// The connection's peer measurement is the one sealed in the ticket,
+    /// attested by the quote of the full handshake.  A ticket this instance
+    /// cannot open is declined with [`KeyServiceError::AttestationFailed`],
+    /// and the initiator falls back to a full handshake.
+    pub fn accept_resumption<R: RngCore>(
+        &self,
+        hello: &ResumeHello,
+        rng: &mut R,
+    ) -> Result<([u8; 32], ConnectionId), KeyServiceError> {
+        let tcs = self.enclave.enter().map_err(KeyServiceError::from)?;
+        let (secret, measurement) = self.open_ticket(&hello.ticket)?;
+        let (nonce, channel) = respond_resumed(hello, &secret, Some(measurement), rng);
+        Ok((nonce, self.open(channel, tcs)))
+    }
+
+    fn open(&self, channel: SecureChannel, tcs: TcsToken) -> ConnectionId {
         let id = self.next_connection.fetch_add(1, Ordering::Relaxed);
-        self.connections.lock().insert(
-            id,
-            Arc::new(Mutex::new(Connection {
-                channel: result.channel,
-                peer_measurement: result.initiator_measurement,
-                _tcs: tcs,
-            })),
-        );
-        Ok((result.hello, ConnectionId(id), result.quote_latency))
+        self.connections
+            .lock()
+            .insert(id, Arc::new(Mutex::new(Connection { channel, _tcs: tcs })));
+        ConnectionId(id)
+    }
+
+    fn seal_ticket<R: RngCore>(
+        &self,
+        channel: &SecureChannel,
+        measurement: Measurement,
+        rng: &mut R,
+    ) -> Vec<u8> {
+        let cipher = self
+            .ticket_cipher
+            .get_or_init(|| Aes128Gcm::new(&AeadKey::generate(rng)));
+        let mut contents = [0u8; 64];
+        contents[..32].copy_from_slice(channel.resumption_secret());
+        contents[32..].copy_from_slice(measurement.as_bytes());
+        let nonce = Nonce::generate(rng);
+        let mut ticket = nonce.as_bytes().to_vec();
+        ticket.extend_from_slice(&cipher.seal(&nonce, &contents, TICKET_AAD));
+        ticket
+    }
+
+    fn open_ticket(&self, ticket: &[u8]) -> Result<([u8; 32], Measurement), KeyServiceError> {
+        let declined = || KeyServiceError::AttestationFailed("resumption ticket declined".into());
+        let cipher = self.ticket_cipher.get().ok_or_else(declined)?;
+        if ticket.len() != TICKET_LEN {
+            return Err(declined());
+        }
+        let (nonce, sealed) = ticket.split_at(NONCE_LEN);
+        let nonce = Nonce::from_bytes(nonce.try_into().map_err(|_| declined())?);
+        let contents = cipher
+            .open(&nonce, sealed, TICKET_AAD)
+            .map_err(|_| declined())?;
+        let mut secret = [0u8; 32];
+        let mut measurement = [0u8; 32];
+        secret.copy_from_slice(&contents[..32]);
+        measurement.copy_from_slice(&contents[32..]);
+        Ok((secret, Measurement::from_digest(Digest(measurement))))
     }
 
     /// Accepts a connection from a *peer replica*: like
@@ -201,7 +282,7 @@ impl KeyService {
             .recv(record)
             .map_err(|e| KeyServiceError::Channel(e.to_string()))?;
         let response = match decode_request(&plaintext) {
-            Ok(request) => self.dispatch(request, conn.peer_measurement),
+            Ok(request) => self.dispatch(request, conn.channel.peer_measurement()),
             Err(err) => Response::Error(err),
         };
         let record = conn.channel.send(&encode_response(&response));
@@ -535,29 +616,69 @@ mod tests {
         assert_eq!(codes.len(), errors.len());
     }
 
+    use proptest::prelude::*;
     use sesemi_crypto::rng::SessionRng;
     use sesemi_enclave::attest::{AttestationAuthority, AttestationScheme};
-    use sesemi_enclave::ratls::HandshakeInitiator;
+    use sesemi_enclave::ratls::{HandshakeInitiator, ResumptionSession};
     use sesemi_enclave::{CodeIdentity, EnclaveConfig, SgxPlatform};
 
     const MB: u64 = 1024 * 1024;
 
     fn service_fixture() -> (KeyService, QuoteVerifier) {
+        let (service, verifier, _) = service_and_enclave_fixture();
+        (service, verifier)
+    }
+
+    /// A KeyService and an enclave that can attest to it, as SeMIRT does.
+    fn service_and_enclave_fixture() -> (KeyService, QuoteVerifier, Enclave) {
         let platform = SgxPlatform::paper_sgx2_node("ks-node");
         let authority = AttestationAuthority::new(17);
         authority.register_platform("ks-node", AttestationScheme::EcdsaDcap);
-        let enclave = Enclave::launch(
-            &platform,
-            &authority,
-            CodeIdentity::new("keyservice", b"keyservice code".to_vec(), "1.0"),
-            EnclaveConfig::new(64 * MB, 8),
-            1,
-        )
-        .unwrap()
-        .0;
+        let launch = |name: &str| {
+            Enclave::launch(
+                &platform,
+                &authority,
+                CodeIdentity::new(name, name.as_bytes().to_vec(), "1.0"),
+                EnclaveConfig::new(64 * MB, 8),
+                1,
+            )
+            .unwrap()
+            .0
+        };
         let verifier = authority.verifier();
-        let service = KeyService::new(Arc::new(enclave), verifier.clone());
-        (service, verifier)
+        let service = KeyService::new(Arc::new(launch("keyservice")), verifier.clone());
+        (service, verifier, launch("semirt"))
+    }
+
+    /// Runs one full mutually attested handshake from `enclave`, closes the
+    /// connection and returns the session its ticket resumes.
+    fn attested_session<R: RngCore>(
+        service: &KeyService,
+        verifier: &QuoteVerifier,
+        enclave: &Enclave,
+        rng: &mut R,
+    ) -> ResumptionSession {
+        let (initiator, _) = HandshakeInitiator::new_attested(enclave, rng).unwrap();
+        let (hello, connection, _) = service.accept_connection(&initiator.hello(), rng).unwrap();
+        let channel = initiator
+            .finish(&hello, verifier, &service.measurement())
+            .unwrap();
+        service.close_connection(connection);
+        ResumptionSession::new(
+            hello.ticket.expect("an attested initiator gets a ticket"),
+            &channel,
+        )
+    }
+
+    /// Opens a resumed connection from `session`.
+    fn resume<R: RngCore>(
+        service: &KeyService,
+        session: &ResumptionSession,
+        rng: &mut R,
+    ) -> (SecureChannel, ConnectionId) {
+        let hello = session.resume(rng);
+        let (nonce, connection) = service.accept_resumption(&hello, rng).unwrap();
+        (session.finish(&hello, &nonce), connection)
     }
 
     fn client_channel<R: RngCore>(
@@ -780,6 +901,163 @@ mod tests {
                 assert_eq!(service.open_connections(), 1);
                 assert_eq!(service.enclave().threads_inside(), threads_inside);
             }
+        }
+    }
+
+    /// The counters a declined or failed resumption must leave alone.
+    fn occupancy(service: &KeyService) -> (usize, usize) {
+        (
+            service.open_connections(),
+            service.enclave().threads_inside(),
+        )
+    }
+
+    #[test]
+    fn only_attested_initiators_get_a_ticket() {
+        let (service, verifier, semirt) = service_and_enclave_fixture();
+        let mut rng = SessionRng::from_seed(20);
+        let client = HandshakeInitiator::new_client(&mut rng);
+        let (hello, _, _) = service
+            .accept_connection(&client.hello(), &mut rng)
+            .unwrap();
+        assert_eq!(hello.ticket, None);
+        let session = attested_session(&service, &verifier, &semirt, &mut rng);
+        assert_eq!(session.ticket.len(), TICKET_LEN);
+    }
+
+    #[test]
+    fn a_resumed_connection_takes_the_ticket_measurement_without_a_quote() {
+        let (service, verifier, semirt) = service_and_enclave_fixture();
+        let mut rng = SessionRng::from_seed(21);
+        let session = attested_session(&service, &verifier, &semirt, &mut rng);
+        let quotes = service.enclave().quotes_generated();
+        let ecalls = service.enclave().ecalls_served();
+
+        let (mut channel, connection) = resume(&service, &session, &mut rng);
+        assert_eq!(occupancy(&service), (1, 1));
+        assert_eq!(service.enclave().ecalls_served(), ecalls + 1);
+        // The grant is missing, so a provision is refused; a channel without
+        // an attested peer would be refused for that instead.
+        let record = channel.send(&encode_request(&Request::Provision {
+            user: PartyId::from_bytes([4u8; 32]),
+            model: ModelId::new("mbnet"),
+        }));
+        let (response, _) = service.handle_record(connection, &record).unwrap();
+        assert_eq!(
+            decode_response(&channel.recv(&response).unwrap()).unwrap(),
+            Response::Error(KeyServiceError::NotAuthorized)
+        );
+        service.close_connection(connection);
+        assert_eq!(occupancy(&service), (0, 0));
+        assert_eq!(service.enclave().quotes_generated(), quotes);
+    }
+
+    #[test]
+    fn tickets_this_instance_did_not_seal_are_declined() {
+        let (service, verifier, semirt) = service_and_enclave_fixture();
+        let (other, other_verifier, other_semirt) = service_and_enclave_fixture();
+        let mut rng = SessionRng::from_seed(22);
+        // Before its first attested handshake the KeyService has no ticket
+        // key, so it can open nothing.
+        let foreign = attested_session(&other, &other_verifier, &other_semirt, &mut rng);
+        let hello = foreign.resume(&mut rng);
+        assert!(matches!(
+            service.accept_resumption(&hello, &mut rng),
+            Err(KeyServiceError::AttestationFailed(_))
+        ));
+
+        let session = attested_session(&service, &verifier, &semirt, &mut rng);
+        let mut flipped = session.ticket.clone();
+        flipped[NONCE_LEN + 3] ^= 0x10;
+        let tickets = [
+            flipped,
+            foreign.ticket.clone(),
+            Vec::new(),
+            session.ticket[..TICKET_LEN - 1].to_vec(),
+        ];
+        for ticket in tickets {
+            let hello = ResumeHello {
+                ticket,
+                nonce: [7u8; 32],
+            };
+            assert!(matches!(
+                service.accept_resumption(&hello, &mut rng),
+                Err(KeyServiceError::AttestationFailed(_))
+            ));
+            assert_eq!(occupancy(&service), (0, 0));
+        }
+    }
+
+    #[test]
+    fn two_resumptions_from_one_ticket_key_their_channels_apart() {
+        let (service, verifier, semirt) = service_and_enclave_fixture();
+        let mut rng = SessionRng::from_seed(23);
+        let session = attested_session(&service, &verifier, &semirt, &mut rng);
+        let (mut first, _) = resume(&service, &session, &mut rng);
+        let (mut second, second_connection) = resume(&service, &session, &mut rng);
+
+        let record = first.send(&encode_request(&Request::Register {
+            identity_key: AeadKey::from_bytes([5u8; 16]),
+        }));
+        assert!(service.handle_record(second_connection, &record).is_err());
+        // The second connection is still in sync with its own initiator.
+        let record = second.send(&encode_request(&Request::Register {
+            identity_key: AeadKey::from_bytes([5u8; 16]),
+        }));
+        let (response, _) = service.handle_record(second_connection, &record).unwrap();
+        assert!(second.recv(&response).is_ok());
+    }
+
+    /// One way the host may mangle a resumption ticket.
+    #[derive(Clone, Copy, Debug)]
+    enum Mutation {
+        Truncate,
+        FlipBit,
+        Extend,
+        Random,
+    }
+
+    fn mutate(ticket: &[u8], mutation: Mutation, at: usize, random: &[u8]) -> Vec<u8> {
+        let mut ticket = ticket.to_vec();
+        let index = at % ticket.len();
+        match mutation {
+            Mutation::Truncate => ticket.truncate(index),
+            Mutation::FlipBit => ticket[index] ^= 1 << (at % 8),
+            Mutation::Extend => ticket.extend_from_slice(random),
+            Mutation::Random => ticket = random.to_vec(),
+        }
+        ticket
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn a_mangled_resume_hello_is_declined_without_a_trace(
+            kind in 0usize..4,
+            at: usize,
+            len in 1usize..200,
+            bytes: [u8; 200],
+            nonce: [u8; 32],
+        ) {
+            let (service, verifier, semirt) = service_and_enclave_fixture();
+            let mut rng = SessionRng::from_seed(at as u64);
+            let session = attested_session(&service, &verifier, &semirt, &mut rng);
+            let mutation = [
+                Mutation::Truncate,
+                Mutation::FlipBit,
+                Mutation::Extend,
+                Mutation::Random,
+            ][kind];
+            let hello = ResumeHello {
+                ticket: mutate(&session.ticket, mutation, at, &bytes[..len]),
+                nonce,
+            };
+            let result = service.accept_resumption(&hello, &mut rng);
+            prop_assert!(
+                matches!(result, Err(KeyServiceError::AttestationFailed(_))),
+                "{mutation:?}: {result:?}"
+            );
+            prop_assert_eq!(occupancy(&service), (0, 0));
         }
     }
 }

@@ -11,10 +11,12 @@ use parking_lot::Mutex;
 use rand::RngCore;
 use sesemi_crypto::aead::AeadKey;
 use sesemi_crypto::rng::SessionRng;
-use sesemi_enclave::ratls::HandshakeInitiator;
+use sesemi_enclave::ratls::{HandshakeInitiator, ResumptionSession, SecureChannel};
 use sesemi_enclave::{Enclave, Measurement, QuoteVerifier};
 use sesemi_inference::ModelId;
-use sesemi_keyservice::service::{decode_response, encode_request, KeyService, Request, Response};
+use sesemi_keyservice::service::{
+    decode_response, encode_request, ConnectionId, KeyService, Request, Response,
+};
 use sesemi_keyservice::{KeyServiceError, PartyId};
 use sesemi_sim::SimDuration;
 use std::collections::HashMap;
@@ -23,14 +25,18 @@ use std::sync::Arc;
 /// Provides model and request keys to an attesting SeMIRT enclave.
 pub trait KeyProvider: Send + Sync {
     /// Performs the `KEY_PROVISIONING` exchange for `(user, model)` on behalf
-    /// of `enclave`, returning `(K_M, K_R)` and the simulated latency of the
-    /// exchange (mutual attestation + provisioning).
+    /// of `enclave`, returning `(K_M, K_R)`.
+    ///
+    /// `session` is the enclave's attested session with the key source: a
+    /// provider may resume it instead of attesting again, and leaves in it
+    /// the session a later fetch should resume, or `None`.
     fn fetch_keys(
         &self,
         enclave: &Enclave,
+        session: &mut Option<ResumptionSession>,
         user: PartyId,
         model: &ModelId,
-    ) -> Result<(AeadKey, AeadKey, SimDuration), RuntimeError>;
+    ) -> Result<(AeadKey, AeadKey), RuntimeError>;
 }
 
 /// Fetches encrypted model blobs from storage.
@@ -71,51 +77,108 @@ impl KeyServiceProvider {
     }
 }
 
-impl KeyProvider for KeyServiceProvider {
-    fn fetch_keys(
-        &self,
-        enclave: &Enclave,
-        user: PartyId,
-        model: &ModelId,
-    ) -> Result<(AeadKey, AeadKey, SimDuration), RuntimeError> {
-        // Draw this fetch's seed under the lock and run the handshake without
-        // it: one provider serves every instance of a deployment, so holding
-        // the lock would run every key fetch in the process one at a time.
-        let mut rng = SessionRng::from_seed(self.rng.lock().next_u64());
-        // Mutual attestation: SeMIRT proves its identity, verifies E_K.
-        let (initiator, quote_latency) =
-            HandshakeInitiator::new_attested(enclave, &mut rng).map_err(RuntimeError::from)?;
-        let (responder_hello, connection, responder_quote_latency) = self
-            .service
-            .accept_connection(&initiator.hello(), &mut rng)
-            .map_err(RuntimeError::from)?;
-        let mut channel = initiator
-            .finish(&responder_hello, &self.verifier, &self.expected_keyservice)
-            .map_err(RuntimeError::from)?;
+impl KeyServiceProvider {
+    fn opened(&self, id: ConnectionId) -> OpenConnection<'_> {
+        OpenConnection {
+            service: &self.service,
+            id,
+        }
+    }
 
-        // Provisioning request over the attested channel.
-        let request = Request::Provision {
-            user,
-            model: model.clone(),
-        };
-        let record = channel.send(&encode_request(&request));
-        let (response_record, service_latency) = self
+    /// Sends the `Provision` record on an open connection and reads the
+    /// answer.  `Err` means the exchange itself failed: a record did not
+    /// authenticate or the answer did not decode.
+    fn provision(
+        &self,
+        channel: &mut SecureChannel,
+        connection: ConnectionId,
+        request: &[u8],
+    ) -> Result<Response, RuntimeError> {
+        let record = channel.send(request);
+        let (response_record, _) = self
             .service
             .handle_record(connection, &record)
             .map_err(RuntimeError::from)?;
         let plaintext = channel
             .recv(&response_record)
             .map_err(|e| RuntimeError::KeyProvisioning(KeyServiceError::Channel(e.to_string())))?;
-        let response = decode_response(&plaintext).map_err(RuntimeError::from)?;
-        self.service.close_connection(connection);
+        decode_response(&plaintext).map_err(RuntimeError::from)
+    }
+}
 
-        let handshake_latency = enclave.cost_model().ratls_handshake(1);
-        let total = handshake_latency + quote_latency + responder_quote_latency + service_latency;
-        match response {
+/// Closes a KeyService connection when dropped, so every exit from a fetch
+/// releases the connection and the KeyService TCS it holds.
+struct OpenConnection<'a> {
+    service: &'a KeyService,
+    id: ConnectionId,
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.service.close_connection(self.id);
+    }
+}
+
+impl KeyProvider for KeyServiceProvider {
+    /// Resumes `session` when there is one; otherwise, or when the
+    /// KeyService declines its ticket, runs one full mutually attested
+    /// handshake, which yields the session for the next fetch.  A failed
+    /// exchange drops the session; an authenticated refusal such as
+    /// `NotAuthorized` keeps it.
+    fn fetch_keys(
+        &self,
+        enclave: &Enclave,
+        session: &mut Option<ResumptionSession>,
+        user: PartyId,
+        model: &ModelId,
+    ) -> Result<(AeadKey, AeadKey), RuntimeError> {
+        // Draw this fetch's seed under the lock and run the handshake without
+        // it: one provider serves every instance of a deployment, so holding
+        // the lock would run every key fetch in the process one at a time.
+        let mut rng = SessionRng::from_seed(self.rng.lock().next_u64());
+        let request = encode_request(&Request::Provision {
+            user,
+            model: model.clone(),
+        });
+
+        let resumed = match session.as_ref() {
+            Some(resumable) => {
+                let hello = resumable.resume(&mut rng);
+                match self.service.accept_resumption(&hello, &mut rng) {
+                    Ok((nonce, id)) => Some((self.opened(id), resumable.finish(&hello, &nonce))),
+                    // Declined: drop the ticket and attest in full below.
+                    Err(KeyServiceError::AttestationFailed(_)) => None,
+                    Err(err) => return Err(err.into()),
+                }
+            }
+            None => None,
+        };
+        let (connection, mut channel, ticket) = match resumed {
+            Some((connection, channel)) => (connection, channel, None),
+            None => {
+                *session = None;
+                // Mutual attestation: SeMIRT proves its identity, verifies E_K.
+                let (initiator, _) = HandshakeInitiator::new_attested(enclave, &mut rng)?;
+                let (hello, id, _) = self
+                    .service
+                    .accept_connection(&initiator.hello(), &mut rng)?;
+                let connection = self.opened(id);
+                let channel =
+                    initiator.finish(&hello, &self.verifier, &self.expected_keyservice)?;
+                (connection, channel, hello.ticket)
+            }
+        };
+        let response = self.provision(&mut channel, connection.id, &request);
+        if response.is_err() {
+            *session = None;
+        } else if let Some(ticket) = ticket {
+            *session = Some(ResumptionSession::new(ticket, &channel));
+        }
+        match response? {
             Response::Keys {
                 model_key,
                 request_key,
-            } => Ok((model_key, request_key, total)),
+            } => Ok((model_key, request_key)),
             Response::Error(err) => Err(RuntimeError::KeyProvisioning(err)),
             _ => Err(RuntimeError::KeyProvisioning(
                 KeyServiceError::InvalidPayload,

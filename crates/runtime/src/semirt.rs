@@ -14,6 +14,7 @@ use sesemi_crypto::aead::AeadKey;
 use sesemi_crypto::rng::SessionRng;
 use sesemi_enclave::attest::AttestationAuthority;
 use sesemi_enclave::enclave::HeapAllocation;
+use sesemi_enclave::ratls::ResumptionSession;
 use sesemi_enclave::{CodeIdentity, Enclave, EnclaveConfig, Measurement, SgxPlatform};
 use sesemi_inference::{Framework, LoadedModel, ModelId, ModelRuntime};
 use sesemi_keyservice::PartyId;
@@ -185,6 +186,9 @@ pub struct SemirtInstance {
     key_provider: Arc<dyn KeyProvider>,
     model_fetcher: Arc<dyn ModelFetcher>,
     key_cache: Mutex<Option<KeyCacheEntry>>,
+    /// The attested session with the KeyService that key fetches resume;
+    /// enclave state, like the key cache.
+    session: Mutex<Option<ResumptionSession>>,
     model_cache: Mutex<Option<CachedModel>>,
     /// One slot per TCS-bound worker, each locked on its own so that
     /// workers execute concurrently (§IV-B).
@@ -193,8 +197,6 @@ pub struct SemirtInstance {
     rng: Mutex<SessionRng>,
     served: AtomicU64,
     stats: Mutex<InstanceStats>,
-    last_key_fetch_latency: Mutex<SimDuration>,
-    last_model_fetch_latency: Mutex<SimDuration>,
 }
 
 impl SemirtInstance {
@@ -225,14 +227,13 @@ impl SemirtInstance {
                 key_provider,
                 model_fetcher,
                 key_cache: Mutex::new(None),
+                session: Mutex::new(None),
                 model_cache: Mutex::new(None),
                 workers,
                 sequential_guard: Mutex::new(()),
                 rng: Mutex::new(SessionRng::from_seed(rng_seed)),
                 served: AtomicU64::new(0),
                 stats: Mutex::new(InstanceStats::default()),
-                last_key_fetch_latency: Mutex::new(SimDuration::ZERO),
-                last_model_fetch_latency: Mutex::new(SimDuration::ZERO),
             },
             init_latency,
         ))
@@ -267,19 +268,6 @@ impl SemirtInstance {
     #[must_use]
     pub fn stats(&self) -> InstanceStats {
         *self.stats.lock()
-    }
-
-    /// Simulated latency of the most recent key fetch (mutual attestation +
-    /// provisioning); used by the experiment harness.
-    #[must_use]
-    pub fn last_key_fetch_latency(&self) -> SimDuration {
-        *self.last_key_fetch_latency.lock()
-    }
-
-    /// Simulated latency of the most recent encrypted-model fetch.
-    #[must_use]
-    pub fn last_model_fetch_latency(&self) -> SimDuration {
-        *self.last_model_fetch_latency.lock()
     }
 
     /// `EC_MODEL_INF` (Algorithm 2): serves one encrypted request on worker
@@ -335,10 +323,11 @@ impl SemirtInstance {
         }
 
         // --- Keys (Algorithm 2, lines 6-10) -------------------------------
-        // The cache is locked only to look up and to fill, never across the
-        // fetch, so a worker that needs other keys does not wait out another
-        // worker's attested handshake.  Each request uses the keys it looked
-        // up or fetched, whatever another worker stores meanwhile.
+        // The cache and the session are locked only to look up and to fill,
+        // never across the fetch, so a worker that needs other keys does not
+        // wait out another worker's fetch.  Each request uses the keys it
+        // looked up or fetched, whatever another worker stores meanwhile.
+        // Strong isolation keeps neither, so every fetch attests in full.
         let usable = !self.config.strong_isolation;
         let cached = if usable {
             self.key_cache
@@ -353,11 +342,19 @@ impl SemirtInstance {
         let (model_key, request_key) = match cached {
             Some(keys) => keys,
             None => {
-                let (model_key, request_key, latency) =
-                    self.key_provider
-                        .fetch_keys(&self.enclave, request.user, &request.model)?;
+                // Strong isolation never stores a session, so it has none.
+                let mut session = self.session.lock().clone();
+                let fetched = self.key_provider.fetch_keys(
+                    &self.enclave,
+                    &mut session,
+                    request.user,
+                    &request.model,
+                );
+                if usable {
+                    *self.session.lock() = session;
+                }
+                let (model_key, request_key) = fetched?;
                 stages.push(ServingStage::KeyFetch);
-                *self.last_key_fetch_latency.lock() = latency;
                 if usable {
                     *self.key_cache.lock() = Some(KeyCacheEntry {
                         user: request.user,
@@ -384,9 +381,8 @@ impl SemirtInstance {
                     // memory, copy it into the enclave, decrypt and
                     // deserialize it (MODEL_LOAD), replacing the previous
                     // model under the lock.
-                    let (encrypted, fetch_latency) =
+                    let (encrypted, _) =
                         self.model_fetcher.fetch_encrypted_model(&request.model)?;
-                    *self.last_model_fetch_latency.lock() = fetch_latency;
                     stages.push(ServingStage::ModelLoad);
                     let plaintext = decrypt_model(&request.model, &encrypted, &model_key)?;
                     stages.push(ServingStage::ModelDecrypt);
@@ -671,6 +667,7 @@ mod tests {
     use sesemi_inference::ModelKind;
     use sesemi_keyservice::client::{OwnerClient, UserClient};
     use sesemi_keyservice::service::KeyService;
+    use sesemi_keyservice::KeyServiceError;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -847,9 +844,10 @@ mod tests {
         fn fetch_keys(
             &self,
             enclave: &Enclave,
+            session: &mut Option<ResumptionSession>,
             user: PartyId,
             model: &ModelId,
-        ) -> Result<(AeadKey, AeadKey, SimDuration), RuntimeError> {
+        ) -> Result<(AeadKey, AeadKey), RuntimeError> {
             if user == self.parked {
                 self.entered
                     .send(())
@@ -857,8 +855,174 @@ mod tests {
                 // A closed gate (the test gave up) releases the fetch too.
                 let _ = self.gate.lock().recv();
             }
-            self.inner.fetch_keys(enclave, self.user, model)
+            self.inner.fetch_keys(enclave, session, self.user, model)
         }
+    }
+
+    /// The KeyService's open connections and the threads inside its enclave.
+    fn keyservice_occupancy(world: &World) -> (usize, usize) {
+        (
+            world.keyservice.open_connections(),
+            world.keyservice.enclave().threads_inside(),
+        )
+    }
+
+    /// Quotes generated by the KeyService and by `instance`'s enclave.
+    fn quotes(world: &World, instance: &SemirtInstance) -> (u64, u64) {
+        (
+            world.keyservice.enclave().quotes_generated(),
+            instance.enclave().quotes_generated(),
+        )
+    }
+
+    fn fetch(
+        world: &World,
+        instance: &SemirtInstance,
+        session: &mut Option<ResumptionSession>,
+    ) -> Result<(AeadKey, AeadKey), RuntimeError> {
+        world
+            .provider
+            .fetch_keys(instance.enclave(), session, world.user, &world.model_id)
+    }
+
+    #[test]
+    fn a_warm_key_fetch_resumes_the_attested_session() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        let mut session = None;
+        fetch(&world, &instance, &mut session).unwrap();
+        assert!(session.is_some());
+        let after_full = quotes(&world, &instance);
+        for _ in 0..3 {
+            let (_, request_key) = fetch(&world, &instance, &mut session).unwrap();
+            assert_eq!(request_key, world.request_key);
+        }
+        assert_eq!(quotes(&world, &instance), after_full);
+        assert_eq!(keyservice_occupancy(&world), (0, 0));
+    }
+
+    #[test]
+    fn failed_key_fetches_release_their_connection_and_tcs() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        // A provider that pins the wrong KeyService measurement fails in
+        // `finish`, after the KeyService accepted the connection.
+        let misconfigured = KeyServiceProvider::new(
+            Arc::clone(&world.keyservice),
+            world.verifier.clone(),
+            world.semirt_config.measurement(),
+            556,
+        );
+        for _ in 0..3 {
+            let err = misconfigured
+                .fetch_keys(instance.enclave(), &mut None, world.user, &world.model_id)
+                .unwrap_err();
+            assert!(matches!(err, RuntimeError::Enclave(_)), "{err:?}");
+            assert_eq!(keyservice_occupancy(&world), (0, 0));
+        }
+
+        // A resumed exchange fails: the ticket is another session's, so the
+        // KeyService keys the channel from a secret this one does not hold
+        // and the `Provision` record fails authentication.
+        let (mut session, mut other) = (None, None);
+        fetch(&world, &instance, &mut session).unwrap();
+        fetch(&world, &instance, &mut other).unwrap();
+        session.as_mut().unwrap().ticket = other.unwrap().ticket;
+        let before = quotes(&world, &instance);
+        let err = fetch(&world, &instance, &mut session).unwrap_err();
+        assert!(matches!(err, RuntimeError::KeyProvisioning(_)), "{err:?}");
+        assert!(session.is_none(), "a failed exchange drops the session");
+        assert_eq!(keyservice_occupancy(&world), (0, 0));
+        assert_eq!(quotes(&world, &instance), before);
+        // So the next fetch attests in full, and succeeds.
+        fetch(&world, &instance, &mut session).unwrap();
+        assert_eq!(quotes(&world, &instance), (before.0 + 1, before.1 + 1));
+    }
+
+    #[test]
+    fn a_declined_ticket_falls_back_to_one_full_handshake() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        let mut session = None;
+        fetch(&world, &instance, &mut session).unwrap();
+        let valid = session.clone().unwrap().ticket;
+        // A second deployment's KeyService, with the same SeMIRT image
+        // granted, seals tickets under its own key.  It draws that key from
+        // its first attested connection's random stream, so seed that one
+        // apart from this deployment's.
+        let elsewhere = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let mut foreign = None;
+        KeyServiceProvider::new(
+            Arc::clone(&elsewhere.keyservice),
+            elsewhere.verifier.clone(),
+            elsewhere.keyservice.measurement(),
+            556,
+        )
+        .fetch_keys(
+            instance.enclave(),
+            &mut foreign,
+            elsewhere.user,
+            &elsewhere.model_id,
+        )
+        .unwrap();
+
+        let mut flipped = valid.clone();
+        flipped[20] ^= 0x01;
+        for ticket in [
+            flipped,
+            foreign.unwrap().ticket,
+            Vec::new(),
+            valid[..valid.len() / 2].to_vec(),
+        ] {
+            session.as_mut().unwrap().ticket = ticket;
+            let before = quotes(&world, &instance);
+            let (_, request_key) = fetch(&world, &instance, &mut session).unwrap();
+            assert_eq!(request_key, world.request_key);
+            assert_eq!(quotes(&world, &instance), (before.0 + 1, before.1 + 1));
+            assert_eq!(keyservice_occupancy(&world), (0, 0));
+            // The full handshake left a fresh session that resumes.
+            fetch(&world, &instance, &mut session).unwrap();
+            assert_eq!(quotes(&world, &instance), (before.0 + 1, before.1 + 1));
+        }
+    }
+
+    #[test]
+    fn an_authenticated_refusal_keeps_the_session() {
+        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
+        let instance = launch(&world);
+        let mut session = None;
+        fetch(&world, &instance, &mut session).unwrap();
+        let before = quotes(&world, &instance);
+        let stranger = PartyId::from_identity_key(&AeadKey::from_bytes([9u8; 16]));
+        let err = world
+            .provider
+            .fetch_keys(instance.enclave(), &mut session, stranger, &world.model_id)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::KeyProvisioning(KeyServiceError::NotAuthorized)
+        );
+        assert!(session.is_some());
+        fetch(&world, &instance, &mut session).unwrap();
+        assert_eq!(quotes(&world, &instance), before);
+    }
+
+    #[test]
+    fn strong_isolation_attests_in_full_on_every_fetch() {
+        let world = build_world(
+            Framework::Tvm,
+            ModelKind::MbNet,
+            SemirtConfig::with_strong_isolation,
+        );
+        let instance = launch(&world);
+        let before = world.keyservice.enclave().quotes_generated();
+        for seed in 0..4 {
+            instance
+                .handle_request(0, &make_request(&world, seed))
+                .unwrap();
+        }
+        assert_eq!(world.keyservice.enclave().quotes_generated(), before + 4);
+        assert!(instance.session.lock().is_none());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! sandboxes, enclaves, FnPacker — lives in the higher-level crates and is
 //! driven as an ordinary state machine by popping events from the queue.
 //!
-//! Everything is deterministic given a seed, so every figure and table in
-//! EXPERIMENTS.md can be regenerated exactly.
+//! Everything is deterministic given a seed, so every figure and table the
+//! `experiments` binary prints (README, "Regenerating the paper's
+//! evaluation") can be regenerated exactly.
 //!
 //! ```
 //! use sesemi_sim::{EventQueue, SimDuration, SimTime};

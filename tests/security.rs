@@ -331,6 +331,57 @@ fn revocation_stops_new_enclaves_but_not_already_provisioned_ones() {
 }
 
 #[test]
+fn revocation_applies_to_the_next_resumed_key_fetch() {
+    // A running instance resumes its attested KeyService session for every
+    // key fetch after its first, but the KeyService still checks the grant
+    // on each `Provision`: once a user's keys leave the one-entry key cache,
+    // a revocation refuses the next fetch without any new attestation.
+    let mut deployment = Deployment::builder().seed(506).build();
+    let mut owner = deployment.register_owner("owner");
+    let mut users = [
+        deployment.register_user("user-a"),
+        deployment.register_user("user-b"),
+    ];
+    let model = owner
+        .publish_model(&deployment, ModelKind::MbNet, 0.01)
+        .unwrap();
+    let function = deployment.deploy_function(Framework::Tvm, 1).unwrap();
+    for user in &mut users {
+        owner
+            .grant_access(&deployment, &model, &function, user.party())
+            .unwrap();
+        user.authorize(&deployment, &model, &function).unwrap();
+    }
+    let features = vec![0.5f32; deployment.model_input_dim(&model).unwrap()];
+    let [user_a, user_b] = &users;
+    deployment
+        .infer(user_a, &function, &model, &features)
+        .unwrap();
+    // B's fetch resumes the session A's cold fetch attested, and evicts A's
+    // keys from the cache.
+    let keyservice = deployment.keyservice();
+    let quotes = keyservice.enclave().quotes_generated();
+    deployment
+        .infer(user_b, &function, &model, &features)
+        .unwrap();
+    assert_eq!(keyservice.enclave().quotes_generated(), quotes);
+
+    owner
+        .revoke_access(&deployment, &model, &function, user_a.party())
+        .unwrap();
+    let err = deployment
+        .infer(user_a, &function, &model, &features)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        DeploymentError::Runtime(RuntimeError::KeyProvisioning(
+            KeyServiceError::NotAuthorized
+        ))
+    );
+    assert_eq!(keyservice.enclave().quotes_generated(), quotes);
+}
+
+#[test]
 fn enclave_identity_pins_the_exact_configuration() {
     // Two SeMIRT builds that differ only in their concurrency level have
     // different measurements, so a grant for one does not authorize the
