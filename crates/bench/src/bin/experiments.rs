@@ -149,11 +149,14 @@ fn main() {
         // wall-clock terms.
         let saturated_requests = (bench_requests / 5).max(1);
         eprintln!(
-            "running self-timing bench traces ({bench_requests} well-provisioned + \
-             {saturated_requests} saturated requests, seed {seed}) ..."
+            "running self-timing bench traces ({saturated_requests} saturated + \
+             {bench_requests} well-provisioned requests, seed {seed}) ..."
         );
-        let well = sesemi_bench::sims::bench_trace(bench_requests, seed);
+        // Each peak-RSS reading is the process high-water mark so far, so
+        // the smaller saturated trace runs first: its reading is then its
+        // own, not the larger well-provisioned trace's.
         let saturated = sesemi_bench::sims::bench_saturated_trace(saturated_requests, seed);
+        let well = sesemi_bench::sims::bench_trace(bench_requests, seed);
         std::fs::write(path, sesemi_bench::sims::bench_document(&well, &saturated))
             .expect("write bench json");
         for (label, run) in [("well_provisioned", &well), ("saturated", &saturated)] {

@@ -1188,7 +1188,10 @@ pub struct BenchRun {
     /// (percentiles and windowed time-series means).
     pub report_seconds: f64,
     /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`;
-    /// 0 where the proxy is unavailable).
+    /// 0 where the proxy is unavailable).  This is the process high-water
+    /// mark so far, read when the run finishes: it covers every earlier run
+    /// in the same process too, so a run reads its own peak only when no
+    /// earlier run peaked higher.
     pub peak_rss_bytes: u64,
 }
 

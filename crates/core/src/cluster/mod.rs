@@ -78,7 +78,7 @@ use sesemi_platform::{
     PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
 };
 use sesemi_runtime::{InvocationReport, ServingStage};
-use sesemi_sim::{EventQueue, SimDuration, SimTime};
+use sesemi_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
 use state::{Event, Invocation, SandboxSimState, SimRequest};
 use std::collections::HashMap;
@@ -244,14 +244,14 @@ impl ClusterConfig {
 pub struct ClusterSimulation {
     config: ClusterConfig,
     cost_model: EnclaveCostModel,
-    profiles: HashMap<ModelId, ModelProfile>,
+    profiles: FxHashMap<ModelId, ModelProfile>,
     router: Box<dyn Router>,
     scheduler: Box<dyn Scheduler>,
     lifecycle: Box<dyn LifecyclePolicy>,
     admission: Box<dyn AdmissionPolicy>,
     controller: Controller,
     action_models: HashMap<ActionName, Vec<ModelId>>,
-    sandbox_state: HashMap<SandboxId, SandboxSimState>,
+    sandbox_state: FxHashMap<SandboxId, SandboxSimState>,
     queue: EventQueue<Event>,
     /// Requests admitted but waiting for cluster capacity, with the action
     /// the router bound them to at admission.
@@ -261,7 +261,7 @@ pub struct ClusterSimulation {
     /// short-circuit reads them to learn how many queued requests a newly
     /// unplaceable action strands in O(1), instead of re-walking the
     /// (possibly thousands deep) queue once per failed action per pass.
-    saturated_action_counts: HashMap<ActionName, usize>,
+    saturated_action_counts: FxHashMap<ActionName, usize>,
     sessions: Vec<InteractiveSession>,
     users: Vec<PartyId>,
     node_active_exec: Vec<usize>,
@@ -396,10 +396,10 @@ impl ClusterSimulation {
             admission,
             controller,
             action_models,
-            sandbox_state: HashMap::new(),
+            sandbox_state: FxHashMap::default(),
             queue: EventQueue::new(),
             saturated: VecDeque::new(),
-            saturated_action_counts: HashMap::new(),
+            saturated_action_counts: FxHashMap::default(),
             sessions: Vec::new(),
             users: Vec::new(),
             node_active_exec: vec![0; nodes],
@@ -986,7 +986,7 @@ impl ClusterSimulation {
 
     /// Decrements the saturated-queue count of `action` (removing the entry
     /// at zero) after one of its requests left the queue.
-    fn forget_saturated_entry(counts: &mut HashMap<ActionName, usize>, action: &ActionName) {
+    fn forget_saturated_entry(counts: &mut FxHashMap<ActionName, usize>, action: &ActionName) {
         let count = counts
             .get_mut(action)
             .expect("saturated-queue counts out of sync with the queue");

@@ -19,9 +19,9 @@ use crate::action::{ActionName, ActionSpec};
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
 use crate::sandbox::{Sandbox, SandboxId, SandboxState};
-use sesemi_sim::SimTime;
+use sesemi_sim::{FxHashMap, SimTime};
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Identifier of an invoker node (index into the cluster's node list).
 ///
@@ -48,7 +48,8 @@ pub enum NodeState {
 /// One invoker node's bookkeeping, including the incrementally maintained
 /// occupancy counters [`Controller::node_snapshots_into`] copies out: every
 /// sandbox lifecycle transition adjusts them in O(1), so a snapshot query
-/// never has to walk the sandbox map.
+/// never has to walk the sandbox map.  The node's per-action counts live in
+/// [`Controller`]'s `action_node_sandboxes`, one vector per action.
 #[derive(Clone, Debug)]
 struct InvokerNode {
     memory_capacity: u64,
@@ -58,10 +59,6 @@ struct InvokerNode {
     total_sandboxes: usize,
     /// Activations currently in flight on the node.
     active_invocations: usize,
-    /// Live sandbox count per action hosted by the node (entries are removed
-    /// when they reach zero, so the map stays proportional to the actions
-    /// actually present).
-    action_sandboxes: HashMap<ActionName, usize>,
 }
 
 impl InvokerNode {
@@ -72,7 +69,6 @@ impl InvokerNode {
             state: NodeState::Active,
             total_sandboxes: 0,
             active_invocations: 0,
-            action_sandboxes: HashMap::new(),
         }
     }
 }
@@ -216,8 +212,12 @@ impl ScheduleOutcome {
 pub struct Controller {
     config: PlatformConfig,
     nodes: Vec<InvokerNode>,
-    actions: HashMap<ActionName, ActionSpec>,
-    sandboxes: HashMap<SandboxId, Sandbox>,
+    actions: FxHashMap<ActionName, ActionSpec>,
+    sandboxes: FxHashMap<SandboxId, Sandbox>,
+    /// Live sandbox count of each action per node, indexed by `NodeId`, so
+    /// a placement snapshot looks the action up once rather than once per
+    /// node.  A node past the end of an action's vector hosts none of it.
+    action_node_sandboxes: FxHashMap<ActionName, Vec<usize>>,
     next_sandbox_id: u64,
     total_cold_starts: u64,
     total_invocations: u64,
@@ -227,7 +227,7 @@ pub struct Controller {
     /// documented tie-break order without sorting).  Maintained at every
     /// lifecycle transition; empty sets are removed so the map stays
     /// proportional to the actions with live warm capacity.
-    warm_index: HashMap<ActionName, BTreeSet<SandboxId>>,
+    warm_index: FxHashMap<ActionName, BTreeSet<SandboxId>>,
     /// Sandboxes with at least one activation in flight — the
     /// [`Controller::serving_sandbox_count`] view, maintained at
     /// assign/finish/reclaim time.
@@ -247,12 +247,13 @@ impl Controller {
         Controller {
             config,
             nodes,
-            actions: HashMap::new(),
-            sandboxes: HashMap::new(),
+            actions: FxHashMap::default(),
+            sandboxes: FxHashMap::default(),
+            action_node_sandboxes: FxHashMap::default(),
             next_sandbox_id: 0,
             total_cold_starts: 0,
             total_invocations: 0,
-            warm_index: HashMap::new(),
+            warm_index: FxHashMap::default(),
             serving_sandboxes: 0,
             view_sandboxes_scanned: Cell::new(0),
             index_ops: 0,
@@ -365,10 +366,13 @@ impl Controller {
         }
 
         // 2. Start a new container.
-        let node = default_placement(spec.memory_budget_bytes, &self.node_snapshots(action))
-            .ok_or(PlatformError::ClusterSaturated {
+        let mut snapshots = Vec::new();
+        self.node_snapshots_into(action, &mut snapshots);
+        let node = default_placement(spec.memory_budget_bytes, &snapshots).ok_or(
+            PlatformError::ClusterSaturated {
                 required_bytes: spec.memory_budget_bytes,
-            })?;
+            },
+        )?;
         Ok(self.cold_start_inner(&spec, node, now))
     }
 
@@ -403,17 +407,9 @@ impl Controller {
     /// Every warm container of `action` with a free concurrency slot, in
     /// sandbox-id order (for policies that want to pick among them).
     /// Containers on draining nodes are excluded: a drain refuses new
-    /// assignments, warm or cold.
-    #[must_use]
-    pub fn warm_candidates(&self, action: &ActionName) -> Vec<WarmCandidate> {
-        let mut candidates = Vec::new();
-        self.warm_candidates_into(action, &mut candidates);
-        candidates
-    }
-
-    /// Allocation-free variant of [`Controller::warm_candidates`]: clears
-    /// `out` and fills it in place, so a hot scheduling loop can reuse one
-    /// persistent buffer instead of allocating a fresh vector per dispatch.
+    /// assignments, warm or cold.  Clears `out` and fills it in place, so a
+    /// hot scheduling loop can reuse one persistent buffer instead of
+    /// allocating a fresh vector per dispatch.
     pub fn warm_candidates_into(&self, action: &ActionName, out: &mut Vec<WarmCandidate>) {
         out.clear();
         let Some(set) = self.warm_index.get(action) else {
@@ -508,7 +504,14 @@ impl Controller {
         host.memory_used += spec.memory_budget_bytes;
         host.total_sandboxes += 1;
         host.active_invocations += 1;
-        *host.action_sandboxes.entry(spec.name.clone()).or_insert(0) += 1;
+        let counts = self
+            .action_node_sandboxes
+            .entry(spec.name.clone())
+            .or_default();
+        if counts.len() <= node {
+            counts.resize(node + 1, 0);
+        }
+        counts[node] += 1;
         self.serving_sandboxes += 1;
         self.index_ops += 1;
         let mut sandbox = Sandbox::new(
@@ -530,28 +533,24 @@ impl Controller {
     /// node order.  This is the view pluggable schedulers place against.
     /// Every node slot (including draining and retired ones) gets a snapshot
     /// so indexing by `NodeId` stays valid; unschedulable slots report
-    /// `fits() == false`.
-    #[must_use]
-    pub fn node_snapshots(&self, action: &ActionName) -> Vec<NodeSnapshot> {
-        let mut snapshots = Vec::new();
-        self.node_snapshots_into(action, &mut snapshots);
-        snapshots
-    }
-
-    /// Allocation-free variant of [`Controller::node_snapshots`]: clears
-    /// `out` and fills it in place for callers that keep a persistent
-    /// scratch buffer across placement decisions.
+    /// `fits() == false`.  Clears `out` and fills it in place for callers
+    /// that keep a persistent scratch buffer across placement decisions.
     pub fn node_snapshots_into(&self, action: &ActionName, out: &mut Vec<NodeSnapshot>) {
         out.clear();
-        // A pure copy of the per-node occupancy counters maintained at every
-        // lifecycle transition — no sandbox is examined, so snapshot cost is
-        // O(nodes) regardless of how many containers the cluster hosts.
+        // The occupancy counters maintained at every lifecycle transition,
+        // zipped with the action's per-node counts from one lookup — no
+        // sandbox is examined, so snapshot cost is O(nodes) regardless of
+        // how many containers the cluster hosts.
+        let action_counts = self
+            .action_node_sandboxes
+            .get(action)
+            .map_or(&[][..], Vec::as_slice);
         out.extend(self.nodes.iter().enumerate().map(|(node, n)| NodeSnapshot {
             node,
             memory_capacity: n.memory_capacity,
             memory_used: n.memory_used,
             total_sandboxes: n.total_sandboxes,
-            action_sandboxes: n.action_sandboxes.get(action).copied().unwrap_or(0),
+            action_sandboxes: action_counts.get(node).copied().unwrap_or(0),
             active_invocations: n.active_invocations,
             schedulable: n.state == NodeState::Active,
         }));
@@ -683,11 +682,8 @@ impl Controller {
                 node.memory_used = node.memory_used.saturating_sub(sandbox.memory_bytes);
                 node.total_sandboxes -= 1;
                 node.active_invocations -= sandbox.active;
-                if let Some(count) = node.action_sandboxes.get_mut(&sandbox.action) {
-                    *count -= 1;
-                    if *count == 0 {
-                        node.action_sandboxes.remove(&sandbox.action);
-                    }
+                if let Some(counts) = self.action_node_sandboxes.get_mut(&sandbox.action) {
+                    counts[sandbox.node] -= 1;
                 }
                 if !sandbox.is_idle() {
                     self.serving_sandboxes -= 1;
@@ -972,6 +968,13 @@ mod tests {
         ActionSpec::new(name, "sesemi/semirt", memory_mb * MB, concurrency)
     }
 
+    /// The node snapshots a placement of `action` sees.
+    fn snapshots_of(c: &Controller, action: &ActionName) -> Vec<NodeSnapshot> {
+        let mut snapshots = Vec::new();
+        c.node_snapshots_into(action, &mut snapshots);
+        snapshots
+    }
+
     #[test]
     fn first_invocation_cold_starts_then_reuses() {
         let mut c = controller(2, 1024);
@@ -1181,7 +1184,7 @@ mod tests {
                         Some(candidate) => decomposed.assign_warm(candidate, now),
                         None => {
                             let bytes = decomposed.action(&action).unwrap().memory_budget_bytes;
-                            match default_placement(bytes, &decomposed.node_snapshots(&action)) {
+                            match default_placement(bytes, &snapshots_of(&decomposed, &action)) {
                                 Some(node) => decomposed.schedule_on(&action, node, now),
                                 None => Err(PlatformError::ClusterSaturated {
                                     required_bytes: bytes,
@@ -1242,7 +1245,7 @@ mod tests {
         let ScheduleOutcome::ColdStart { node: a_node, .. } = a else {
             panic!("expected cold start")
         };
-        let snapshots = c.node_snapshots(&"a".into());
+        let snapshots = snapshots_of(&c, &"a".into());
         assert_eq!(snapshots.len(), 2);
         assert_eq!(snapshots[a_node].action_sandboxes, 1);
         assert_eq!(snapshots[a_node].total_sandboxes, 1);
@@ -1254,8 +1257,7 @@ mod tests {
         // The other node is empty, and `b` has no sandboxes anywhere.
         let other = 1 - a_node;
         assert_eq!(snapshots[other].total_sandboxes, 0);
-        assert!(c
-            .node_snapshots(&"b".into())
+        assert!(snapshots_of(&c, &"b".into())
             .iter()
             .all(|s| s.action_sandboxes == 0));
     }
@@ -1322,7 +1324,7 @@ mod tests {
             panic!("expected cold start")
         };
         assert_eq!(node, 2);
-        assert_eq!(c.node_snapshots(&"f".into())[2].memory_used, 256 * MB);
+        assert_eq!(snapshots_of(&c, &"f".into())[2].memory_used, 256 * MB);
         // Out-of-range node.
         assert!(matches!(
             c.schedule_on(&"f".into(), 9, SimTime::from_secs(1)),
@@ -1401,13 +1403,15 @@ mod tests {
             c.schedule_on(&"f".into(), 0, SimTime::from_secs(4)),
             Err(PlatformError::InvalidPlacement { node: 0, .. })
         ));
-        let snapshots = c.node_snapshots(&"f".into());
+        let snapshots = snapshots_of(&c, &"f".into());
         assert!(!snapshots[0].schedulable);
         assert!(!snapshots[0].fits(1));
         assert_eq!(default_placement(256 * MB, &snapshots), Some(1));
         c.invocation_finished(busy.sandbox(), SimTime::from_secs(5))
             .unwrap();
-        assert!(c.warm_candidates(&"f".into()).is_empty());
+        let mut warm = Vec::new();
+        c.warm_candidates_into(&"f".into(), &mut warm);
+        assert!(warm.is_empty());
 
         // The now-idle survivor is reclaimed on the next eviction pass even
         // though its keep-alive window has not expired...
@@ -1421,7 +1425,7 @@ mod tests {
         assert_eq!(c.active_node_count(), 1);
         assert_eq!(c.provisioned_memory_bytes(), 1024 * MB);
         // Ids stay stable: node 1 is still node 1 in the snapshots.
-        assert_eq!(c.node_snapshots(&"f".into()).len(), 2);
+        assert_eq!(snapshots_of(&c, &"f".into()).len(), 2);
     }
 
     #[test]

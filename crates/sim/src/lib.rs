@@ -6,9 +6,10 @@
 //!
 //! The toolkit is deliberately generic: it provides a virtual clock
 //! ([`SimTime`] / [`SimDuration`]), a deterministic event queue
-//! ([`EventQueue`]), seeded random-number helpers ([`SimRng`]) and metric
+//! ([`EventQueue`]), seeded random-number helpers ([`SimRng`]), metric
 //! sinks ([`metrics::LatencyStats`], [`metrics::TimeSeries`],
-//! [`metrics::GbSecondMeter`]).  The actual cluster model — invokers,
+//! [`metrics::GbSecondMeter`]) and a fixed fast hasher for the simulator's
+//! internal maps ([`FxHashMap`]).  The actual cluster model — invokers,
 //! sandboxes, enclaves, FnPacker — lives in the higher-level crates and is
 //! driven as an ordinary state machine by popping events from the queue.
 //!
@@ -33,12 +34,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hash;
 pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
+pub use hash::{FxHashMap, FxHasher};
 pub use metrics::{GbSecondMeter, LatencyStats, TimeSeries};
 pub use queue::EventQueue;
 pub use rng::SimRng;

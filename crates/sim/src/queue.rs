@@ -1,27 +1,33 @@
 //! The discrete-event queue.
 //!
-//! A thin, deterministic wrapper over a binary heap: events scheduled for the
-//! same instant are delivered in insertion order, which keeps simulations
-//! reproducible regardless of heap internals.
+//! A binary heap of compact `(time, sequence, slot)` keys over a slab of
+//! events.  Events scheduled for the same instant are delivered in
+//! insertion order, which keeps simulations reproducible regardless of heap
+//! internals.  The heap moves only its 24-byte keys as it sifts; each event
+//! stays in its slab slot from `push` to delivery, and a delivered event's
+//! slot is reused by the next `push`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-struct Entry<E> {
+/// A pending event's place in the delivery order: its time, its insertion
+/// sequence (the tie-break), and the slab slot holding the event.
+#[derive(Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first,
         // breaking ties by insertion sequence for determinism.
@@ -32,7 +38,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -40,7 +46,11 @@ impl<E> PartialOrd for Entry<E> {
 
 /// A deterministic future-event list keyed by [`SimTime`].
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
+    /// The pending events, each in the slot its key names; `None` slots
+    /// are listed in `free`.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
 }
@@ -57,6 +67,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -74,25 +86,45 @@ impl<E> EventQueue<E> {
             self.now,
             at
         );
-        self.heap.push(Entry {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Key {
             at,
             seq: self.next_seq,
-            event,
+            slot,
         });
         self.next_seq += 1;
     }
 
+    /// Moves the event out of `key`'s slot and frees the slot for reuse.
+    fn take(&mut self, key: Key) -> (SimTime, E) {
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(key.slot);
+        (key.at, event)
+    }
+
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let key = self.heap.pop()?;
+        self.now = key.at;
+        Some(self.take(key))
     }
 
     /// Timestamp of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|key| key.at)
     }
 
     /// Current simulation time (timestamp of the last popped event).
@@ -109,18 +141,20 @@ impl<E> EventQueue<E> {
     /// order the events would have popped in — and to discard out-of-scope
     /// events without letting them advance the clock when popped.
     pub fn extract(&mut self, mut predicate: impl FnMut(SimTime, &E) -> bool) -> Vec<(SimTime, E)> {
-        let mut kept = BinaryHeap::with_capacity(self.heap.len());
-        let mut extracted: Vec<Entry<E>> = Vec::new();
-        for entry in self.heap.drain() {
-            if predicate(entry.at, &entry.event) {
-                extracted.push(entry);
-            } else {
-                kept.push(entry);
+        let slab = &self.slab;
+        let mut extracted: Vec<Key> = Vec::new();
+        self.heap.retain(|key| {
+            let event = slab[key.slot as usize]
+                .as_ref()
+                .expect("a pending key owns its slot");
+            let matched = predicate(key.at, event);
+            if matched {
+                extracted.push(*key);
             }
-        }
-        self.heap = kept;
-        extracted.sort_unstable_by_key(|a| (a.at, a.seq));
-        extracted.into_iter().map(|e| (e.at, e.event)).collect()
+            !matched
+        });
+        extracted.sort_unstable_by_key(|key| (key.at, key.seq));
+        extracted.into_iter().map(|key| self.take(key)).collect()
     }
 
     /// Number of pending events.
@@ -234,7 +268,109 @@ mod tests {
         assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
+    /// The model the queue is checked against: pending events in a plain
+    /// `Vec`, delivered by (time, insertion sequence).
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(SimTime, u64, u32)>,
+        next_seq: u64,
+        now: SimTime,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: SimTime, event: u32) {
+            self.pending.push((at, self.next_seq, event));
+            self.next_seq += 1;
+        }
+
+        fn next_index(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            let (at, _, event) = self.pending.remove(self.next_index()?);
+            self.now = at;
+            Some((at, event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.next_index().map(|i| self.pending[i].0)
+        }
+
+        fn extract(&mut self, predicate: impl Fn(SimTime, &u32) -> bool) -> Vec<(SimTime, u32)> {
+            let mut extracted = Vec::new();
+            self.pending.retain(|&(at, seq, event)| {
+                let matched = predicate(at, &event);
+                if matched {
+                    extracted.push((at, seq, event));
+                }
+                !matched
+            });
+            extracted.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            extracted
+                .into_iter()
+                .map(|(at, _, event)| (at, event))
+                .collect()
+        }
+    }
+
+    /// One random extraction predicate, decoded from a draw.
+    fn predicate(raw: u64, now: SimTime) -> impl Fn(SimTime, &u32) -> bool {
+        let kind = raw % 3;
+        let modulus = 2 + (raw >> 2) % 3;
+        let residue = (raw >> 4) % modulus;
+        let cutoff = now + SimDuration::from_millis((raw >> 6) % 4);
+        move |at, event| match kind {
+            0 => u64::from(*event) % modulus == residue,
+            1 => at <= cutoff,
+            _ => at > cutoff,
+        }
+    }
+
     proptest! {
+        #[test]
+        fn queue_matches_a_sorted_vec_model(draws in proptest::collection::vec(0u64..u64::MAX, 1..300)) {
+            // Random interleavings of push (in bursts at one instant, half
+            // of them at the current instant, so ties are common), pop and
+            // extract.  Pops and extractions free slab slots that later
+            // pushes reuse.
+            let mut q = EventQueue::new();
+            let mut model = Reference::default();
+            let mut next_event = 0u32;
+            for (step, raw) in draws.into_iter().enumerate() {
+                match raw % 8 {
+                    0..=3 => {
+                        // 1–3 events at one instant 0, 1 or 3 ms ahead.
+                        let ahead = [0, 0, 0, 1, 1, 3][((raw >> 3) % 6) as usize];
+                        let at = q.now() + SimDuration::from_millis(ahead);
+                        for _ in 0..1 + (raw >> 6) % 3 {
+                            q.push(at, next_event);
+                            model.push(at, next_event);
+                            next_event += 1;
+                        }
+                    }
+                    4..=6 => {
+                        let (popped, expected) = (q.pop(), model.pop());
+                        prop_assert!(popped == expected, "step {step}: popped {popped:?}, model {expected:?}");
+                    }
+                    _ => {
+                        let extracted = q.extract(predicate(raw >> 3, q.now()));
+                        let expected = model.extract(predicate(raw >> 3, model.now));
+                        prop_assert!(
+                            extracted == expected,
+                            "step {step}: extracted {extracted:?}, model {expected:?}"
+                        );
+                    }
+                }
+                prop_assert!(q.len() == model.pending.len(), "step {step}: len");
+                prop_assert!(q.peek_time() == model.peek_time(), "step {step}: peek_time");
+                prop_assert!(q.now() == model.now, "step {step}: now");
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let expected: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
+            prop_assert_eq!(rest, expected);
+        }
+
         #[test]
         fn popped_timestamps_are_monotone(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut q = EventQueue::new();

@@ -101,10 +101,11 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
             })
             .collect();
         expected.sort_unstable_by_key(|candidate| candidate.sandbox);
-        let actual = c.warm_candidates(action);
+        let mut actual = Vec::new();
+        c.warm_candidates_into(action, &mut actual);
         if actual != expected {
             return Err(format!(
-                "warm_candidates({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {expected:?}"
+                "warm_candidates_into({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {expected:?}"
             ));
         }
         // MRU selection over the same membership.
@@ -138,10 +139,11 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
                 snapshot.action_sandboxes += 1;
             }
         }
-        let actual = c.node_snapshots(action);
+        let mut actual = Vec::new();
+        c.node_snapshots_into(action, &mut actual);
         if actual != snapshots {
             return Err(format!(
-                "node_snapshots({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {snapshots:?}"
+                "node_snapshots_into({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {snapshots:?}"
             ));
         }
     }
