@@ -89,10 +89,8 @@ fn key_fetch_world() -> (KeyServiceProvider, Enclave, PartyId, ModelId) {
             &authority,
             identity,
             EnclaveConfig::new(64 * MB, tcs_count),
-            1,
         )
         .unwrap()
-        .0
     };
     let keyservice = Arc::new(KeyService::new(
         Arc::new(launch(
@@ -341,10 +339,11 @@ fn bench_schedule_dispatch(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(2));
 
-    // The per-request dispatch hot path (warm schedule → finish) against a
-    // growing pool of parked unrelated-action containers.  With the
-    // incremental warm-candidate/occupancy views the cost must stay flat in
-    // the noise-pool size; the controller is built once per size so the
+    // The simulator's per-request dispatch path (warm candidates → the
+    // default scheduler's pick → assign → finish) against a growing pool of
+    // parked unrelated-action containers.  With the incremental
+    // warm-candidate/occupancy views the cost must stay flat in the
+    // noise-pool size; the controller is built once per size so the
     // measured loop is pure dispatch.
     for noise in [0usize, 100, 1_000] {
         let (mut controller, hot) = sesemi_bench::micro::dispatch_bench_controller(noise);

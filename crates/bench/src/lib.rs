@@ -74,12 +74,6 @@ pub const EXPERIMENTS: [Experiment; 22] = [
     ("T5", |_| micro::table5_config()),
 ];
 
-/// Runs every experiment in order and returns the reports.
-#[must_use]
-pub fn run_all(seed: u64) -> Vec<Report> {
-    run_selected(seed, None)
-}
-
 /// Runs the experiments whose report ids appear in `only` (case-sensitive,
 /// e.g. `["F13", "T3"]`), or all of them when `only` is `None`.  Unselected
 /// experiments are never executed, which is what makes a `--only` subset run

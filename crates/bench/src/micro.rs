@@ -4,12 +4,14 @@
 //! workload driven by the `schedule_dispatch` criterion group.
 
 use crate::report::{pct, secs, Report};
-use sesemi::cluster::{concurrent_hot_latency, strong_isolation_hot_latency};
+use sesemi::cluster::{
+    concurrent_hot_latency, strong_isolation_hot_latency, LeastLoadedScheduler, Scheduler,
+};
 use sesemi_enclave::attest::AttestationScheme;
 use sesemi_enclave::costs::verification_latency;
 use sesemi_enclave::{EnclaveCostModel, SgxVersion};
-use sesemi_inference::{Framework, ModelKind, ModelProfile};
-use sesemi_platform::{ActionName, ActionSpec, Controller, PlatformConfig};
+use sesemi_inference::{Framework, ModelId, ModelKind, ModelProfile};
+use sesemi_platform::{default_placement, ActionName, ActionSpec, Controller, PlatformConfig};
 use sesemi_sim::{SimDuration, SimTime};
 
 const MB: u64 = 1024 * 1024;
@@ -394,9 +396,9 @@ pub fn table5_config() -> Report {
 
 /// Builds the dispatch micro-benchmark controller: `noise_actions` parked
 /// warm single-container actions plus one hot action with a warm container,
-/// spread across 8 nodes.  The noise pool is what the incremental
-/// warm-candidate index makes irrelevant — pre-index, every dispatch paid a
-/// scan proportional to it.
+/// spread across 8 nodes by [`default_placement`].  The noise pool is what
+/// the incremental warm-candidate index makes irrelevant — pre-index, every
+/// dispatch paid a scan proportional to it.
 #[must_use]
 pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionName) {
     let nodes = 8;
@@ -405,12 +407,17 @@ pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionNam
         PlatformConfig::default().with_invoker_memory(per_node_bytes),
         nodes,
     );
-    let park_warm = |controller: &mut Controller, spec: ActionSpec| {
+    let mut snapshots = Vec::new();
+    let mut park_warm = |controller: &mut Controller, spec: ActionSpec| {
         let name = spec.name.clone();
+        let bytes = spec.memory_budget_bytes;
         controller.register_action(spec).expect("fresh action name");
-        let outcome = controller
-            .schedule(&name, SimTime::ZERO)
+        controller.node_snapshots_into(&name, &mut snapshots);
+        let node = default_placement(bytes, &snapshots)
             .expect("the bench cluster has room for every parked container");
+        let outcome = controller
+            .schedule_on(&name, node, SimTime::ZERO)
+            .expect("the chosen node fits the container");
         controller.sandbox_ready(outcome.sandbox()).expect("exists");
         controller
             .invocation_finished(outcome.sandbox(), SimTime::ZERO)
@@ -435,19 +442,27 @@ pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionNam
     (controller, hot)
 }
 
-/// Runs `cycles` warm schedule→finish cycles against the hot action — the
-/// per-request dispatch hot path, isolated from the event loop.  Every
-/// cycle returns the controller to its starting state, so repeated calls
-/// measure identical work.  Returns the cycle count so callers (criterion)
-/// keep the loop observable.
+/// Runs `cycles` warm dispatch→finish cycles against the hot action — the
+/// cluster simulator's per-request dispatch path (`warm_candidates_into`,
+/// the default scheduler's `select_warm`, `assign_warm`), isolated from the
+/// event loop.  Every cycle returns the controller to its starting state,
+/// so repeated calls measure identical work.  Returns the cycle count so
+/// callers (criterion) keep the loop observable.
 pub fn run_dispatch_cycles(controller: &mut Controller, hot: &ActionName, cycles: u64) -> u64 {
+    let mut scheduler = LeastLoadedScheduler;
+    let model = ModelId::new(hot.as_str());
+    let mut candidates = Vec::new();
     let mut now = SimTime::ZERO;
     let mut completed = 0;
     for _ in 0..cycles {
         now += SimDuration::from_millis(1);
-        let outcome = controller
-            .schedule(hot, now)
+        controller.warm_candidates_into(hot, &mut candidates);
+        let candidate = scheduler
+            .select_warm(&model, &candidates)
             .expect("the hot action always has a warm free slot");
+        let outcome = controller
+            .assign_warm(candidate, now)
+            .expect("the candidate has a free slot");
         controller
             .invocation_finished(outcome.sandbox(), now)
             .expect("assigned at schedule time");

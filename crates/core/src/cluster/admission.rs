@@ -71,22 +71,6 @@ impl AdmissionContext<'_> {
         self.queued.len()
     }
 
-    /// Fraction of execution slots currently busy (may exceed 1.0 when the
-    /// controller packs more work than the slot yardstick nominally holds).
-    #[must_use]
-    pub fn busy_slot_ratio(&self) -> f64 {
-        if self.execution_slots == 0 {
-            return 0.0;
-        }
-        self.busy_slots as f64 / self.execution_slots as f64
-    }
-
-    /// Backlog of queued requests in `tier`.
-    #[must_use]
-    pub fn tier_backlog(&self, tier: Tier) -> usize {
-        self.queued.iter().filter(|q| q.tier == tier).count()
-    }
-
     /// Estimated time until the request at queue position `position` (number
     /// of queued requests ahead of it) starts executing: the cluster drains
     /// one request per `mean_service / execution_slots` on average, and every
@@ -386,13 +370,11 @@ mod tests {
             ctx.estimated_completion_for_position(0),
             SimTime::from_millis(1_400)
         );
-        assert!((ctx.busy_slot_ratio() - 1.0).abs() < f64::EPSILON);
         // No slot yardstick (no completions yet): estimates collapse to zero
         // so policies stay conservative.
         let mut zero = ctx.clone();
         zero.execution_slots = 0;
         assert_eq!(zero.estimated_wait(), SimDuration::ZERO);
-        assert!((zero.busy_slot_ratio()).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -403,9 +385,6 @@ mod tests {
             queued(Tier::Batch, None, 2),
         ];
         let ctx = ctx(&queue, 10);
-        assert_eq!(ctx.tier_backlog(Tier::Batch), 2);
-        assert_eq!(ctx.tier_backlog(Tier::Standard), 0);
-        assert_eq!(ctx.tier_backlog(Tier::Premium), 1);
         assert_eq!(ctx.queue_depth(), 3);
     }
 

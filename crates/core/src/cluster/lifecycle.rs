@@ -14,8 +14,8 @@
 //!
 //! * [`AgeOnlyLifecycle`] — the behaviour-preserving default: evict exactly
 //!   the keep-alive-expired containers (plus idle containers on draining
-//!   nodes) and drain the least-loaded node.  Simulations configured with it
-//!   reproduce the pre-refactor results bit for bit.
+//!   nodes) and drain the least-loaded node.  The E1–E6 goldens pin its
+//!   results.
 //! * [`WarmValueLifecycle`] — locality-aware keep-alive and scale-in.  Under
 //!   EPC pressure it evicts the idle containers the ring would rebuild
 //!   cheapest elsewhere (lowest warm value first) until the node's enclave
@@ -372,7 +372,7 @@ impl LifecyclePolicy for WarmValueLifecycle {
 mod tests {
     use super::*;
     use sesemi_platform::{
-        ActionName, ActionSpec, Controller, NodeState, PlatformConfig, PlatformError, SandboxId,
+        ActionSpec, Controller, NodeState, PlatformConfig, PlatformError, SandboxId,
     };
 
     const MB: u64 = 1024 * 1024;
@@ -564,155 +564,6 @@ mod tests {
         // idle node 2 — the age-only order, applied within equal value.
         assert_eq!(verdict.victim, 2);
         assert!(verdict.premigrate);
-    }
-
-    /// The lockstep guarantee behind the "behaviour-preserving default"
-    /// claim (the same pattern as the platform crate's decomposed-scheduling
-    /// lockstep test): drive two controllers over a deterministic
-    /// pseudo-random mix of schedules, completions, drains and eviction
-    /// passes — one through the built-in `evict_idle` / inline least-loaded
-    /// drain rule the simulator used before the refactor, the other through
-    /// the `idle_candidates` → [`AgeOnlyLifecycle`] → `reclaim_sandboxes`
-    /// policy seam.  Every eviction set, drain victim and controller
-    /// aggregate must match exactly.
-    #[test]
-    fn age_only_policy_reproduces_the_pre_refactor_rules_in_lockstep() {
-        let config = || PlatformConfig::default().with_invoker_memory(1024 * MB);
-        let mut legacy = Controller::new(config(), 4);
-        let mut policied = Controller::new(config(), 4);
-        for c in [&mut legacy, &mut policied] {
-            c.register_action(ActionSpec::new("a", "sesemi/semirt", 256 * MB, 2))
-                .unwrap();
-            c.register_action(ActionSpec::new("b", "sesemi/semirt", 128 * MB, 1))
-                .unwrap();
-        }
-        let mut policy = AgeOnlyLifecycle;
-        let mut in_flight: Vec<SandboxId> = Vec::new();
-        let mut state = 0x9e37_79b9_u64;
-        let mut evictions = 0usize;
-        let mut drains = 0usize;
-        for step in 0..600u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let roll = state >> 33;
-            let now = SimTime::from_secs(step * 7);
-            match roll % 8 {
-                0..=3 => {
-                    let action: ActionName = if roll % 2 == 0 {
-                        "a".into()
-                    } else {
-                        "b".into()
-                    };
-                    let expected = legacy.schedule(&action, now);
-                    let actual = policied.schedule(&action, now);
-                    match (&expected, &actual) {
-                        (Ok(e), Ok(a)) => {
-                            assert_eq!(e, a, "step {step}");
-                            let id = e.sandbox();
-                            if e.is_cold_start() {
-                                legacy.sandbox_ready(id).unwrap();
-                                policied.sandbox_ready(id).unwrap();
-                            }
-                            in_flight.push(id);
-                        }
-                        (Err(_), Err(_)) => {}
-                        other => panic!("step {step}: outcomes diverged: {other:?}"),
-                    }
-                }
-                4 | 5 => {
-                    if !in_flight.is_empty() {
-                        let id = in_flight.remove((roll as usize / 11) % in_flight.len());
-                        legacy.invocation_finished(id, now).unwrap();
-                        policied.invocation_finished(id, now).unwrap();
-                    }
-                }
-                6 => {
-                    // Legacy side: the controller's built-in rule.  Policy
-                    // side: candidate view → verdict → explicit reclaim —
-                    // the refactor seam under test.
-                    let expected = legacy.evict_idle(now);
-                    let candidates = policied.idle_candidates(now);
-                    let views: Vec<EvictionCandidate> = candidates
-                        .iter()
-                        .map(|c| EvictionCandidate {
-                            sandbox: c.sandbox,
-                            node: c.node,
-                            model: None,
-                            last_used: c.last_used,
-                            expired: c.expired,
-                            node_draining: c.node_draining,
-                            enclave_bytes: 0,
-                            warm_value: 0.5,
-                        })
-                        .collect();
-                    let ctx = EvictionContext {
-                        now,
-                        keep_alive: policied.config().container_keep_alive,
-                        candidates: &views,
-                        node_enclave_bytes: &[0; 4],
-                        epc_bytes: u64::MAX,
-                    };
-                    let verdicts = policy.select_evictions(&ctx);
-                    let actual: Vec<SandboxId> = verdicts.iter().map(|v| v.sandbox).collect();
-                    policied.reclaim_sandboxes(&actual).unwrap();
-                    assert_eq!(expected, actual, "step {step}: eviction sets diverged");
-                    evictions += expected.len();
-                }
-                _ => {
-                    // Drain-victim selection: the inline pre-refactor rule
-                    // versus the policy over a DrainContext built from the
-                    // same controller views.  Both sides then actually drain
-                    // the victim so subsequent steps see the same membership
-                    // (skipped when it would empty the pool).
-                    if legacy.active_node_count() <= 1 {
-                        continue;
-                    }
-                    let expected = legacy
-                        .active_node_loads()
-                        .into_iter()
-                        .min_by_key(|(node, sandboxes, active)| {
-                            (*active, *sandboxes, std::cmp::Reverse(*node))
-                        })
-                        .map(|(node, _, _)| node)
-                        .unwrap();
-                    let loads = policied.active_node_loads();
-                    let nodes: Vec<DrainCandidate> = loads
-                        .iter()
-                        .map(|(node, sandboxes, active)| DrainCandidate {
-                            node: *node,
-                            sandboxes: *sandboxes,
-                            active_invocations: *active,
-                            idle_containers: 0,
-                            warm_pool_value: 0.5 * *sandboxes as f64,
-                            memory_pressure: 0.0,
-                        })
-                        .collect();
-                    let verdict = policy
-                        .select_drain_victim(&DrainContext { nodes: &nodes })
-                        .unwrap();
-                    assert_eq!(expected, verdict.victim, "step {step}: drain diverged");
-                    assert!(!verdict.premigrate);
-                    let e = legacy.drain_node(expected).unwrap();
-                    let a = policied.drain_node(verdict.victim).unwrap();
-                    assert_eq!(e, a, "step {step}: drain reclaims diverged");
-                    drains += 1;
-                }
-            }
-            assert_eq!(
-                legacy.sandbox_count(),
-                policied.sandbox_count(),
-                "step {step}"
-            );
-            assert_eq!(
-                legacy.committed_memory_bytes(),
-                policied.committed_memory_bytes(),
-                "step {step}"
-            );
-        }
-        assert_eq!(legacy.cold_start_count(), policied.cold_start_count());
-        assert!(evictions > 0, "the op mix never exercised eviction");
-        assert!(drains > 0, "the op mix never exercised a drain");
     }
 
     #[test]

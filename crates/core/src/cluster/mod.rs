@@ -100,10 +100,9 @@ const MB: u64 = 1024 * 1024;
 /// bills one activation — per-item crypto and per-item completion accounting
 /// are preserved, so request conservation holds per item.
 ///
-/// This mirrors the SeMIRT batching window
-/// ([`SemirtConfig::batch_window`](sesemi_runtime::SemirtConfig)); strong
-/// isolation keeps that window shut by construction, and the same holds
-/// here: batches never mix users or models.
+/// Batching is modeled in the simulator only: SeMIRT itself serves one
+/// request per worker call (Algorithm 2).  Batches never mix users or
+/// models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchingConfig {
     /// Maximum requests per batched dispatch; 1 disables batching.
@@ -533,7 +532,7 @@ impl ClusterSimulation {
             return self.controller.assign_warm(candidate, now);
         }
         let memory_bytes = self.controller.action(action)?.memory_budget_bytes;
-        match self.place_cold(action, model, memory_bytes, now) {
+        match self.place_cold(action, model, memory_bytes) {
             Some(node) => self.controller.schedule_on(action, node, now),
             None => Err(PlatformError::ClusterSaturated {
                 required_bytes: memory_bytes,
@@ -549,19 +548,14 @@ impl ClusterSimulation {
         action: &ActionName,
         model: &ModelId,
         memory_bytes: u64,
-        now: SimTime,
     ) -> Option<usize> {
         let mut snapshots = std::mem::take(&mut self.node_snapshots_scratch);
         self.controller.node_snapshots_into(action, &mut snapshots);
         let placed = self.scheduler.place(&PlacementContext {
-            action,
             model,
             memory_bytes,
             nodes: &snapshots,
             node_enclave_bytes: &self.node_enclave_bytes,
-            epc_bytes: self.config.epc_bytes,
-            pending_for_model: self.router.pending_for(model),
-            now,
         });
         snapshots.clear();
         self.node_snapshots_scratch = snapshots;
@@ -1057,7 +1051,6 @@ impl ClusterSimulation {
                     // piggyback without holding a controller slot.
                     let extras = if self.config.batching.enabled()
                         && !outcome.is_cold_start()
-                        && self.scheduler.coalesce(&request.model)
                         && self
                             .sandbox_state
                             .get(&outcome.sandbox())
@@ -1271,7 +1264,7 @@ impl ClusterSimulation {
     ///
     /// The waiting-queue rescue is cold on every fault-free run: parked
     /// requests hold a controller slot (assigned at schedule time), so a
-    /// sandbox with waiting requests is never idle and both `evict_idle`
+    /// sandbox with waiting requests is never idle and both `reclaim_sandboxes`
     /// and `drain_node` reclaim only idle sandboxes.  Failure injection is
     /// what reaches it — `crash_node` / `kill_sandbox` reclaim sandboxes
     /// regardless of state, and their parked requests degrade to re-queued
@@ -1708,7 +1701,7 @@ impl ClusterSimulation {
             return;
         };
         let memory_bytes = spec.memory_budget_bytes;
-        let Some(node) = self.place_cold(&action, &model, memory_bytes, now) else {
+        let Some(node) = self.place_cold(&action, &model, memory_bytes) else {
             return;
         };
         let Ok(outcome) = self.controller.schedule_on(&action, node, now) else {
@@ -2739,12 +2732,7 @@ mod tests {
     #[test]
     fn least_loaded_scheduler_is_deterministic_per_seed() {
         // Determinism guard: the same seeded workload reproduces every
-        // summary metric exactly.  Equivalence with the controller's
-        // built-in `schedule()` policy is asserted separately by the
-        // platform crate's lockstep test
-        // (`decomposed_scheduling_api_is_equivalent_to_schedule`), since
-        // `LeastLoadedScheduler` delegates to the same `default_placement`
-        // the controller uses.
+        // summary metric exactly.
         let a = run_with_scheduler(SchedulerKind::LeastLoaded, 33);
         let b = run_with_scheduler(SchedulerKind::LeastLoaded, 33);
         assert_eq!(a.completed, b.completed);

@@ -9,7 +9,7 @@
 //!
 //! * [`LeastLoadedScheduler`] — the behaviour-preserving default: home-node
 //!   affinity, then the node with the most free invoker memory (delegates to
-//!   [`sesemi_platform::default_placement`], the controller's built-in rule).
+//!   [`sesemi_platform::default_placement`], the platform's default rule).
 //! * [`RoundRobinScheduler`] — rotates cold starts across nodes regardless of
 //!   affinity; a deliberately locality-blind baseline.
 //! * [`ModelAffinityScheduler`] — consistent-hash placement that keeps each
@@ -18,14 +18,11 @@
 //!   spreading enclave working sets across every node.
 
 use sesemi_inference::ModelId;
-use sesemi_platform::{default_placement, ActionName, NodeId, NodeSnapshot, WarmCandidate};
-use sesemi_sim::SimTime;
+use sesemi_platform::{default_placement, NodeId, NodeSnapshot, WarmCandidate};
 
 /// Everything a placement policy may consult when a new container has to be
 /// started for an invocation.
 pub struct PlacementContext<'a> {
-    /// The endpoint action being scheduled (chosen by the router).
-    pub action: &'a ActionName,
     /// The model the invocation targets.
     pub model: &'a ModelId,
     /// The container memory budget that must fit on the chosen node.
@@ -36,15 +33,6 @@ pub struct PlacementContext<'a> {
     /// Enclave memory currently committed per node (the simulator's EPC
     /// bookkeeping; same indexing as `nodes`).
     pub node_enclave_bytes: &'a [u64],
-    /// EPC capacity per node.
-    pub epc_bytes: u64,
-    /// Pending (dispatched, not completed) requests for the model as tracked
-    /// by the routing strategy, if it keeps per-model statistics.  Unused by
-    /// the built-in policies; exposed (like `action`, `epc_bytes` and `now`)
-    /// for custom policies that want router or timing signals.
-    pub pending_for_model: Option<usize>,
-    /// Virtual time of the placement decision.
-    pub now: SimTime,
 }
 
 /// A placement policy: given the cluster state, decide which node a new
@@ -58,8 +46,8 @@ pub trait Scheduler {
     fn place(&mut self, ctx: &PlacementContext<'_>) -> Option<NodeId>;
 
     /// Chooses which warm container absorbs the invocation.  The default is
-    /// the most-recently-used candidate — exactly the platform controller's
-    /// built-in rule, which maximises hot invocations for SeMIRT.
+    /// the most-recently-used candidate, which maximises hot invocations
+    /// for SeMIRT.
     fn select_warm(
         &mut self,
         model: &ModelId,
@@ -79,21 +67,6 @@ pub trait Scheduler {
     /// they only ever see schedulable nodes through `fits()` anyway.
     fn on_membership_change(&mut self, active_nodes: &[NodeId]) {
         let _ = active_nodes;
-    }
-
-    /// Whether the dispatch layer may coalesce compatible (same user, same
-    /// model) queued requests for `model` into one batched invocation on a
-    /// ready warm container.  This is the placement half of the batching
-    /// window: routing already concentrates a model's pending traffic onto
-    /// one endpoint (FnPacker's stickiness rule), placement keeps its
-    /// containers on few nodes, and this signal lets a policy veto the final
-    /// coalescing step.  All shipped policies consent — batching is gated by
-    /// [`BatchingConfig`](crate::cluster::BatchingConfig), not by placement —
-    /// but a policy that spreads a model wide (and so never accumulates a
-    /// same-endpoint queue worth batching) can opt out here.
-    fn coalesce(&self, model: &ModelId) -> bool {
-        let _ = model;
-        true
     }
 
     /// How much a warm container of `model` on `node` is worth keeping, in
@@ -414,21 +387,16 @@ mod tests {
     }
 
     fn ctx<'a>(
-        action: &'a ActionName,
         model: &'a ModelId,
         memory_bytes: u64,
         nodes: &'a [NodeSnapshot],
         enclave: &'a [u64],
     ) -> PlacementContext<'a> {
         PlacementContext {
-            action,
             model,
             memory_bytes,
             nodes,
             node_enclave_bytes: enclave,
-            epc_bytes: u64::MAX,
-            pending_for_model: None,
-            now: SimTime::ZERO,
         }
     }
 
@@ -442,7 +410,6 @@ mod tests {
 
     #[test]
     fn least_loaded_matches_the_controller_default() {
-        let action = ActionName::new("a");
         let model = ModelId::new("m");
         let mut nodes = vec![snapshot(0, 1000, 0), snapshot(1, 1000, 400)];
         nodes[1].action_sandboxes = 1;
@@ -450,18 +417,17 @@ mod tests {
         let mut scheduler = LeastLoadedScheduler;
         // Home node first, even though node 0 has more free memory.
         assert_eq!(
-            scheduler.place(&ctx(&action, &model, 100, &nodes, &enclave)),
+            scheduler.place(&ctx(&model, 100, &nodes, &enclave)),
             Some(1)
         );
         assert_eq!(
-            scheduler.place(&ctx(&action, &model, 100, &nodes, &enclave)),
+            scheduler.place(&ctx(&model, 100, &nodes, &enclave)),
             default_placement(100, &nodes)
         );
     }
 
     #[test]
     fn round_robin_rotates_and_skips_full_nodes() {
-        let action = ActionName::new("a");
         let model = ModelId::new("m");
         let nodes = vec![
             snapshot(0, 1000, 0),
@@ -470,18 +436,15 @@ mod tests {
         ];
         let enclave = vec![0, 0, 0];
         let mut scheduler = RoundRobinScheduler::new();
-        let first = scheduler.place(&ctx(&action, &model, 100, &nodes, &enclave));
-        let second = scheduler.place(&ctx(&action, &model, 100, &nodes, &enclave));
-        let third = scheduler.place(&ctx(&action, &model, 100, &nodes, &enclave));
+        let first = scheduler.place(&ctx(&model, 100, &nodes, &enclave));
+        let second = scheduler.place(&ctx(&model, 100, &nodes, &enclave));
+        let third = scheduler.place(&ctx(&model, 100, &nodes, &enclave));
         assert_eq!(first, Some(0));
         assert_eq!(second, Some(2)); // node 1 skipped: no memory
         assert_eq!(third, Some(0));
         // Saturated cluster yields no placement.
         let full = vec![snapshot(0, 100, 100)];
-        assert_eq!(
-            scheduler.place(&ctx(&action, &model, 10, &full, &[0])),
-            None
-        );
+        assert_eq!(scheduler.place(&ctx(&model, 10, &full, &[0])), None);
     }
 
     #[test]
@@ -506,14 +469,13 @@ mod tests {
 
     #[test]
     fn affinity_places_within_the_sticky_subset_until_it_is_full() {
-        let action = ActionName::new("a");
         let model = ModelId::new("m");
         let mut scheduler = ModelAffinityScheduler::with_params(4, 31, 2);
         let subset: Vec<NodeId> = scheduler.preferred_nodes(&model)[..2].to_vec();
         let nodes: Vec<NodeSnapshot> = (0..4).map(|n| snapshot(n, 1000, 0)).collect();
         let enclave = vec![0u64; 4];
         let chosen = scheduler
-            .place(&ctx(&action, &model, 100, &nodes, &enclave))
+            .place(&ctx(&model, 100, &nodes, &enclave))
             .unwrap();
         assert!(subset.contains(&chosen), "{chosen} not in {subset:?}");
 
@@ -523,7 +485,7 @@ mod tests {
             full_subset[*node].memory_used = 1000;
         }
         let spilled = scheduler
-            .place(&ctx(&action, &model, 100, &full_subset, &enclave))
+            .place(&ctx(&model, 100, &full_subset, &enclave))
             .unwrap();
         assert!(!subset.contains(&spilled));
 
@@ -531,7 +493,7 @@ mod tests {
         let mut enclave_loaded = vec![0u64; 4];
         enclave_loaded[subset[0]] = 500;
         let balanced = scheduler
-            .place(&ctx(&action, &model, 100, &nodes, &enclave_loaded))
+            .place(&ctx(&model, 100, &nodes, &enclave_loaded))
             .unwrap();
         assert_eq!(balanced, subset[1]);
     }
@@ -581,7 +543,6 @@ mod tests {
 
     #[test]
     fn placement_follows_the_ring_after_a_membership_change() {
-        let action = ActionName::new("a");
         let model = ModelId::new("m");
         let mut scheduler = ModelAffinityScheduler::with_params(4, 31, 2);
         // Shrink to nodes {0, 2}: snapshots still cover all four slots (ids
@@ -593,7 +554,7 @@ mod tests {
         let enclave = vec![0u64; 4];
         for _ in 0..8 {
             let chosen = scheduler
-                .place(&ctx(&action, &model, 100, &nodes, &enclave))
+                .place(&ctx(&model, 100, &nodes, &enclave))
                 .unwrap();
             assert!(
                 chosen == 0 || chosen == 2,
@@ -631,6 +592,7 @@ mod tests {
     #[test]
     fn default_warm_selection_is_most_recently_used() {
         use sesemi_platform::SandboxId;
+        use sesemi_sim::SimTime;
         let model = ModelId::new("m");
         let mut scheduler = RoundRobinScheduler::new();
         let candidates = vec![

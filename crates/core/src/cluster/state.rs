@@ -383,13 +383,6 @@ impl SimulationResult {
         self.per_model_warm_hits.values().sum()
     }
 
-    /// Total policy-driven evictions, across reasons.  (Crash and kill
-    /// reclaims are accounted separately, under the fault counters.)
-    #[must_use]
-    pub fn evictions_total(&self) -> u64 {
-        self.evictions_expired + self.evictions_pressure + self.evictions_drain
-    }
-
     /// Mean KeyService queue wait per provisioned key (zero when
     /// provisioning is un-modeled or nothing cold-started).
     #[must_use]

@@ -129,10 +129,8 @@ impl DeploymentBuilder {
             &authority,
             CodeIdentity::new("keyservice", b"sesemi keyservice v1".to_vec(), "1.0"),
             EnclaveConfig::new(64 * MB, 16),
-            1,
         )
-        .expect("KeyService enclave fits on a fresh node")
-        .0;
+        .expect("KeyService enclave fits on a fresh node");
         let keyservice = Arc::new(KeyService::new(Arc::new(ks_enclave), verifier.clone()));
         let store = Arc::new(InMemoryModelStore::new());
         let provider = Arc::new(KeyServiceProvider::new(
@@ -149,17 +147,12 @@ impl DeploymentBuilder {
             store,
             provider,
             rng: Mutex::new(SessionRng::from_seed(self.seed)),
-            models: Mutex::new(HashMap::new()),
+            model_input_dims: Mutex::new(HashMap::new()),
             functions: Mutex::new(HashMap::new()),
             next_function: AtomicUsize::new(0),
             function_enclave_bytes: self.function_enclave_bytes,
         }
     }
-}
-
-struct PublishedModel {
-    kind: ModelKind,
-    input_dim: usize,
 }
 
 struct DeployedFunction {
@@ -223,9 +216,9 @@ impl OwnerHandle {
         let encrypted = encrypt_model(&model_id, &graph.to_bytes(), &model_key, &mut self.rng);
         deployment.store.put(model_id.clone(), encrypted);
         deployment
-            .models
+            .model_input_dims
             .lock()
-            .insert(model_id.clone(), PublishedModel { kind, input_dim });
+            .insert(model_id.clone(), input_dim);
         self.model_keys.insert(model_id.clone(), model_key);
         Ok(model_id)
     }
@@ -330,7 +323,8 @@ pub struct Deployment {
     store: Arc<InMemoryModelStore>,
     provider: Arc<KeyServiceProvider>,
     rng: Mutex<SessionRng>,
-    models: Mutex<HashMap<ModelId, PublishedModel>>,
+    /// Input dimension of each published model.
+    model_input_dims: Mutex<HashMap<ModelId, usize>>,
     functions: Mutex<HashMap<usize, DeployedFunction>>,
     next_function: AtomicUsize,
     function_enclave_bytes: u64,
@@ -440,13 +434,12 @@ impl Deployment {
         let seed = self.rng.lock().next_u64();
         let framework = config.framework;
         let tcs_count = config.tcs_count;
-        let (instance, _init_latency) = SemirtInstance::launch(
+        let instance = SemirtInstance::launch(
             &self.platform,
             &self.authority,
             config,
             Arc::clone(&self.provider) as Arc<dyn KeyProvider>,
             Arc::clone(&self.store) as Arc<dyn ModelFetcher>,
-            1,
             seed,
         )?;
         let id = self.next_function.fetch_add(1, Ordering::SeqCst);
@@ -469,13 +462,7 @@ impl Deployment {
     /// The input dimension of a published model.
     #[must_use]
     pub fn model_input_dim(&self, model: &ModelId) -> Option<usize> {
-        self.models.lock().get(model).map(|m| m.input_dim)
-    }
-
-    /// The kind of a published model.
-    #[must_use]
-    pub fn model_kind(&self, model: &ModelId) -> Option<ModelKind> {
-        self.models.lock().get(model).map(|m| m.kind)
+        self.model_input_dims.lock().get(model).copied()
     }
 
     /// Sends an encrypted inference request from `user` to `function` for
@@ -620,7 +607,6 @@ mod tests {
             .unwrap();
         assert_eq!(fifth.report.path, InvocationPath::Hot);
         assert_eq!(fifth.prediction, first.prediction);
-        assert_eq!(deployment.model_kind(&model), Some(ModelKind::MbNet));
     }
 
     #[test]

@@ -316,14 +316,6 @@ pub fn x25519(scalar: [u8; 32], point: [u8; 32]) -> [u8; 32] {
     x2.mul(z2.invert()).to_bytes()
 }
 
-/// The X25519 base point (u = 9).
-#[must_use]
-pub fn base_point() -> [u8; 32] {
-    let mut point = [0u8; 32];
-    point[0] = 9;
-    point
-}
-
 /// Edwards25519's `d = −121665/121666` (RFC 8032 §5.1).
 const EDWARDS_D: Fe = Fe([
     929_955_233_495_203,
@@ -584,8 +576,8 @@ impl EphemeralKeyPair {
     }
 
     /// Builds a key pair from raw secret bytes (clamped internally).  The
-    /// public key is `x25519(secret, base_point())`, computed with the
-    /// fixed-base comb.
+    /// public key is the secret times the base point u = 9, computed with
+    /// the fixed-base comb.
     #[must_use]
     pub fn from_secret(secret: [u8; 32]) -> Self {
         let public = x25519_base(secret);
@@ -611,6 +603,13 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The X25519 base point (u = 9).
+    fn base_point() -> [u8; 32] {
+        let mut point = [0u8; 32];
+        point[0] = 9;
+        point
+    }
 
     fn unhex32(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];

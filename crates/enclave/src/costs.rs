@@ -43,9 +43,6 @@ pub struct EnclaveCostModel {
     /// Additional fraction of quote latency per concurrent quote generation
     /// (Fig. 16).
     pub quote_concurrency_penalty: f64,
-    /// Latency of verifying a quote (IAS round-trip for EPID, local ECDSA
-    /// check for DCAP).
-    pub quote_verify: SimDuration,
     /// Cost of a single ECALL / OCALL transition (enclave boundary crossing).
     pub ecall_transition: SimDuration,
     /// AEAD throughput inside the enclave, bytes per second, used to price
@@ -66,7 +63,6 @@ impl EnclaveCostModel {
                 init_concurrency_penalty: 0.22,
                 quote_base: SimDuration::from_millis(60),
                 quote_concurrency_penalty: 0.60,
-                quote_verify: SimDuration::from_millis(25),
                 ecall_transition: SimDuration::from_micros(8),
                 aead_bytes_per_sec: 1.2e9,
             },
@@ -77,7 +73,6 @@ impl EnclaveCostModel {
                 init_concurrency_penalty: 0.35,
                 quote_base: SimDuration::from_millis(450),
                 quote_concurrency_penalty: 0.45,
-                quote_verify: SimDuration::from_millis(350),
                 ecall_transition: SimDuration::from_micros(10),
                 aead_bytes_per_sec: 0.9e9,
             },
@@ -108,12 +103,6 @@ impl EnclaveCostModel {
         let concurrency =
             1.0 + self.quote_concurrency_penalty * concurrent_quotes.saturating_sub(1) as f64;
         self.quote_base.mul_f64(concurrency)
-    }
-
-    /// Latency of verifying a peer's quote.
-    #[must_use]
-    pub fn quote_verification(&self) -> SimDuration {
-        self.quote_verify
     }
 
     /// Latency of an ECALL or OCALL boundary crossing.

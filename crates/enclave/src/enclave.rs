@@ -2,22 +2,20 @@
 //!
 //! An [`Enclave`] is created from a [`CodeIdentity`] and an [`EnclaveConfig`]
 //! on a specific [`SgxPlatform`].  Creation commits the configured memory
-//! against the node's EPC and reports the simulated initialization latency
-//! (calibrated against Fig. 15 / Fig. 17).  Threads "enter" the enclave by
-//! acquiring a [`TcsToken`]; the number of simultaneous tokens is bounded by
-//! the configured TCS count, mirroring SGX's thread-control structures.
+//! against the node's EPC; the cluster simulator prices initialization
+//! (Fig. 15 / Fig. 17) from [`EnclaveCostModel`](crate::EnclaveCostModel)
+//! instead.  Threads "enter" the enclave by acquiring a [`TcsToken`]; the
+//! number of simultaneous tokens is bounded by the configured TCS count,
+//! mirroring SGX's thread-control structures.
 //! Enclave-internal allocations are charged against the configured heap so
 //! that model and runtime buffers cannot silently exceed the enclave size the
 //! paper configures per model (Appendix D).
 
 use crate::attest::{AttestationAuthority, Quote};
-use crate::costs::EnclaveCostModel;
 use crate::epc::OwnedEpcReservation;
 use crate::error::EnclaveError;
 use crate::measurement::{CodeIdentity, Measurement};
 use crate::platform::SgxPlatform;
-use parking_lot::Mutex;
-use sesemi_sim::SimDuration;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -110,18 +108,15 @@ pub struct Enclave {
     measurement: Measurement,
     config: EnclaveConfig,
     platform_id: String,
-    cost_model: EnclaveCostModel,
     authority: Arc<AttestationAuthority>,
     tcs: Arc<TcsShared>,
     heap_used: Arc<AtomicU64>,
     destroyed: AtomicBool,
-    init_latency: SimDuration,
     // Keeps the EPC pages committed for the lifetime of the enclave.
     _epc: OwnedEpcReservation,
     // Statistics.
     ecalls_served: AtomicU64,
     quotes_generated: AtomicU64,
-    pending_quotes: Mutex<usize>,
 }
 
 impl std::fmt::Debug for Enclave {
@@ -137,27 +132,17 @@ impl std::fmt::Debug for Enclave {
 }
 
 impl Enclave {
-    /// Launches an enclave on `platform`.
-    ///
-    /// `concurrent_inits` is the number of enclaves (including this one)
-    /// currently initializing on the node — the cluster simulator threads it
-    /// through so that the Fig. 15 contention effect appears.  Returns the
-    /// enclave and the simulated initialization latency.
+    /// Launches an enclave on `platform`, committing its memory against the
+    /// node's EPC.
     pub fn launch(
         platform: &SgxPlatform,
         authority: &Arc<AttestationAuthority>,
         identity: CodeIdentity,
         config: EnclaveConfig,
-        concurrent_inits: usize,
-    ) -> Result<(Self, SimDuration), EnclaveError> {
-        let cost_model = EnclaveCostModel::for_version(platform.version);
-        let epc = platform.epc();
-        let pressure = epc.pressure_factor_with(config.enclave_bytes);
-        let reservation = OwnedEpcReservation::reserve(epc, config.enclave_bytes)?;
-        let init_latency =
-            cost_model.enclave_init(config.enclave_bytes, concurrent_inits.max(1), pressure);
+    ) -> Result<Self, EnclaveError> {
+        let reservation = OwnedEpcReservation::reserve(platform.epc(), config.enclave_bytes)?;
         let measurement = identity.measure();
-        let enclave = Enclave {
+        Ok(Enclave {
             identity,
             measurement,
             tcs: Arc::new(TcsShared {
@@ -166,17 +151,13 @@ impl Enclave {
             }),
             heap_used: Arc::new(AtomicU64::new(0)),
             destroyed: AtomicBool::new(false),
-            init_latency,
             platform_id: platform.platform_id.clone(),
-            cost_model,
             authority: Arc::clone(authority),
             config,
             _epc: reservation,
             ecalls_served: AtomicU64::new(0),
             quotes_generated: AtomicU64::new(0),
-            pending_quotes: Mutex::new(0),
-        };
-        Ok((enclave, init_latency))
+        })
     }
 
     /// The enclave's measurement (`MRENCLAVE`).
@@ -195,18 +176,6 @@ impl Enclave {
     #[must_use]
     pub fn config(&self) -> &EnclaveConfig {
         &self.config
-    }
-
-    /// The simulated initialization latency paid at launch.
-    #[must_use]
-    pub fn init_latency(&self) -> SimDuration {
-        self.init_latency
-    }
-
-    /// The cost model of the platform this enclave runs on.
-    #[must_use]
-    pub fn cost_model(&self) -> &EnclaveCostModel {
-        &self.cost_model
     }
 
     /// Identifier of the hosting platform.
@@ -281,29 +250,17 @@ impl Enclave {
         self.config.enclave_bytes
     }
 
-    /// Generates an attestation quote with the given report data, returning
-    /// the quote and its simulated generation latency (which grows when
-    /// several quotes are generated concurrently, Fig. 16).
-    pub fn quote(&self, report_data: [u8; 64]) -> Result<(Quote, SimDuration), EnclaveError> {
+    /// Generates an attestation quote binding the enclave's measurement to
+    /// `report_data`.
+    pub fn quote(&self, report_data: [u8; 64]) -> Result<Quote, EnclaveError> {
         if self.destroyed.load(Ordering::SeqCst) {
             return Err(EnclaveError::EnclaveDestroyed);
         }
-        let concurrent = {
-            let mut pending = self.pending_quotes.lock();
-            *pending += 1;
-            *pending
-        };
         let quote = self
             .authority
-            .quote(&self.platform_id, self.measurement, report_data);
-        {
-            let mut pending = self.pending_quotes.lock();
-            *pending = pending.saturating_sub(1);
-        }
-        let quote = quote?;
+            .quote(&self.platform_id, self.measurement, report_data)?;
         self.quotes_generated.fetch_add(1, Ordering::Relaxed);
-        let latency = self.cost_model.quote_generation(concurrent);
-        Ok((quote, latency))
+        Ok(quote)
     }
 
     /// Number of quotes generated since launch.
@@ -316,12 +273,6 @@ impl Enclave {
     /// the EPC pages are released when the value is dropped.
     pub fn destroy(&self) {
         self.destroyed.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the enclave has been destroyed.
-    #[must_use]
-    pub fn is_destroyed(&self) -> bool {
-        self.destroyed.load(Ordering::SeqCst)
     }
 }
 
@@ -350,26 +301,21 @@ mod tests {
             authority,
             identity(),
             EnclaveConfig::new(128 * MB, 4),
-            1,
         )
         .unwrap()
-        .0
     }
 
     #[test]
-    fn launch_commits_epc_and_reports_latency() {
+    fn launch_commits_epc_until_the_enclave_drops() {
         let (platform, authority) = setup();
-        let (enclave, latency) = Enclave::launch(
+        let enclave = Enclave::launch(
             &platform,
             &authority,
             identity(),
             EnclaveConfig::new(256 * MB, 2),
-            1,
         )
         .unwrap();
         assert_eq!(platform.epc().used_bytes(), 256 * MB);
-        assert!(latency > SimDuration::ZERO);
-        assert_eq!(enclave.init_latency(), latency);
         assert_eq!(enclave.committed_bytes(), 256 * MB);
         drop(enclave);
         assert_eq!(platform.epc().used_bytes(), 0);
@@ -412,10 +358,9 @@ mod tests {
     fn quotes_bind_measurement_and_report_data() {
         let (platform, authority) = setup();
         let enclave = launch(&platform, &authority);
-        let (quote, latency) = enclave.quote([9u8; 64]).unwrap();
+        let quote = enclave.quote([9u8; 64]).unwrap();
         assert_eq!(quote.measurement, enclave.measurement());
         assert_eq!(quote.report_data, [9u8; 64]);
-        assert!(latency > SimDuration::ZERO);
         authority.verifier().verify(&quote).unwrap();
         assert_eq!(enclave.quotes_generated(), 1);
     }
@@ -425,7 +370,6 @@ mod tests {
         let (platform, authority) = setup();
         let enclave = launch(&platform, &authority);
         enclave.destroy();
-        assert!(enclave.is_destroyed());
         assert!(matches!(
             enclave.enter(),
             Err(EnclaveError::EnclaveDestroyed)
@@ -438,33 +382,6 @@ mod tests {
             enclave.quote([0u8; 64]),
             Err(EnclaveError::EnclaveDestroyed)
         ));
-    }
-
-    #[test]
-    fn sgx1_epc_pressure_inflates_init_latency() {
-        let platform = SgxPlatform::paper_sgx1_node("sgx1-node");
-        let authority = AttestationAuthority::new(1);
-        authority.register_platform("sgx1-node", AttestationScheme::Epid);
-        // First enclave fits in the 128 MB EPC.
-        let (first, fast) = Enclave::launch(
-            &platform,
-            &authority,
-            identity(),
-            EnclaveConfig::new(100 * MB, 1),
-            1,
-        )
-        .unwrap();
-        // Second enclave overcommits the EPC and pays the paging penalty.
-        let (_second, slow) = Enclave::launch(
-            &platform,
-            &authority,
-            identity(),
-            EnclaveConfig::new(100 * MB, 1),
-            1,
-        )
-        .unwrap();
-        assert!(slow > fast, "paging should slow the second launch");
-        drop(first);
     }
 
     #[test]

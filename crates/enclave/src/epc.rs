@@ -43,12 +43,6 @@ impl EpcManager {
         *self.used.lock()
     }
 
-    /// Remaining bytes before the EPC starts paging.
-    #[must_use]
-    pub fn available_bytes(&self) -> u64 {
-        self.capacity.saturating_sub(self.used_bytes())
-    }
-
     /// Commits `bytes` of enclave memory.
     ///
     /// Mirroring real SGX behaviour, the reservation succeeds even beyond the
@@ -173,12 +167,11 @@ mod tests {
     #[test]
     fn reserve_and_release_track_usage() {
         let epc = EpcManager::new(128 * MB);
-        assert_eq!(epc.available_bytes(), 128 * MB);
+        assert_eq!(epc.used_bytes(), 0);
         {
             let r = epc.reserve(100 * MB).unwrap();
             assert_eq!(r.bytes(), 100 * MB);
             assert_eq!(epc.used_bytes(), 100 * MB);
-            assert_eq!(epc.available_bytes(), 28 * MB);
         }
         assert_eq!(epc.used_bytes(), 0);
     }

@@ -65,7 +65,6 @@ use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
 use sesemi_crypto::hkdf::{hkdf_expand, hkdf_extract};
 use sesemi_crypto::sha256::{sha256_parts, Digest};
 use sesemi_crypto::x25519::EphemeralKeyPair;
-use sesemi_sim::SimDuration;
 
 /// First flight: the initiator's ephemeral key and, for mutual attestation,
 /// its quote.
@@ -241,19 +240,15 @@ impl HandshakeInitiator {
     }
 
     /// Starts a handshake as an attested enclave initiator (mutual
-    /// attestation).  Returns the initiator and the quote-generation latency.
-    pub fn new_attested<R: RngCore>(
-        enclave: &Enclave,
-        rng: &mut R,
-    ) -> Result<(Self, SimDuration), EnclaveError> {
+    /// attestation).
+    pub fn new_attested<R: RngCore>(enclave: &Enclave, rng: &mut R) -> Result<Self, EnclaveError> {
         let keypair = EphemeralKeyPair::generate(rng);
         let report = bind_key_to_report(&keypair.public, None);
-        let (quote, latency) = enclave.quote(report)?;
         let hello = InitiatorHello {
             ephemeral_public: keypair.public,
-            quote: Some(quote),
+            quote: Some(enclave.quote(report)?),
         };
-        Ok((HandshakeInitiator { keypair, hello }, latency))
+        Ok(HandshakeInitiator { keypair, hello })
     }
 
     /// The first flight to send to the responder.
@@ -304,8 +299,6 @@ pub struct ResponderResult {
     /// The initiator's attested measurement, if it presented a quote
     /// (available to the application for access-control decisions).
     pub initiator_measurement: Option<Measurement>,
-    /// Simulated latency of the responder's quote generation.
-    pub quote_latency: SimDuration,
 }
 
 /// Responds to an [`InitiatorHello`] inside the responder enclave
@@ -337,7 +330,7 @@ pub fn respond<R: RngCore>(
 
     let keypair = EphemeralKeyPair::generate(rng);
     let report = bind_key_to_report(&keypair.public, Some(&initiator.ephemeral_public));
-    let (quote, quote_latency) = enclave.quote(report)?;
+    let quote = enclave.quote(report)?;
     let shared = keypair
         .diffie_hellman(&initiator.ephemeral_public)
         .map_err(EnclaveError::from)?;
@@ -352,7 +345,6 @@ pub fn respond<R: RngCore>(
         },
         channel,
         initiator_measurement,
-        quote_latency,
     })
 }
 
@@ -463,19 +455,15 @@ mod tests {
             &authority,
             CodeIdentity::new("keyservice", b"ks code".to_vec(), "1.0"),
             EnclaveConfig::new(64 * MB, 8),
-            1,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         let semirt = Enclave::launch(
             &platform,
             &authority,
             CodeIdentity::new("semirt", b"rt code".to_vec(), "1.0"),
             EnclaveConfig::new(128 * MB, 4),
-            1,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         Fixture {
             authority,
             keyservice,
@@ -524,9 +512,7 @@ mod tests {
         let mut rng_a = SessionRng::from_seed(3);
         let mut rng_b = SessionRng::from_seed(4);
 
-        let (initiator, quote_latency) =
-            HandshakeInitiator::new_attested(&fx.semirt, &mut rng_a).unwrap();
-        assert!(quote_latency > SimDuration::ZERO);
+        let initiator = HandshakeInitiator::new_attested(&fx.semirt, &mut rng_a).unwrap();
         let result = respond(&initiator.hello(), &fx.keyservice, &verifier, &mut rng_b).unwrap();
         assert_eq!(result.initiator_measurement, Some(fx.semirt.measurement()));
 
@@ -584,7 +570,7 @@ mod tests {
         let mut rng_a = SessionRng::from_seed(9);
         let mut rng_b = SessionRng::from_seed(10);
 
-        let (initiator, _) = HandshakeInitiator::new_attested(&fx.semirt, &mut rng_a).unwrap();
+        let initiator = HandshakeInitiator::new_attested(&fx.semirt, &mut rng_a).unwrap();
         let mut hello = initiator.hello();
         // Replay SeMIRT's quote with a different ephemeral key (stolen-quote
         // attack): the binding check must reject it.
@@ -643,7 +629,7 @@ mod tests {
     fn attested_pair(fx: &Fixture, seed: u64) -> (SecureChannel, SecureChannel) {
         let verifier = fx.authority.verifier();
         let mut rng = SessionRng::from_seed(seed);
-        let (initiator, _) = HandshakeInitiator::new_attested(&fx.semirt, &mut rng).unwrap();
+        let initiator = HandshakeInitiator::new_attested(&fx.semirt, &mut rng).unwrap();
         let result = respond(&initiator.hello(), &fx.keyservice, &verifier, &mut rng).unwrap();
         let semirt = initiator
             .finish(&result.hello, &verifier, &fx.keyservice.measurement())

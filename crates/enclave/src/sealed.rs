@@ -2,10 +2,9 @@
 //!
 //! SGX sealing lets an enclave encrypt data so that only an enclave with the
 //! same identity (MRENCLAVE policy) on the same platform can decrypt it.
-//! SeSeMI itself keeps its caches in volatile enclave memory, but sealing is
-//! part of the substrate because a production KeyService would seal its key
-//! store across restarts; the `keyservice` crate exposes that as an optional
-//! persistence feature.
+//! SeSeMI keeps its caches and the KeyService's store in volatile enclave
+//! memory, so nothing in the workspace seals data yet; a KeyService that
+//! survives restarts would seal its key store with this primitive.
 
 use crate::error::EnclaveError;
 use crate::measurement::Measurement;

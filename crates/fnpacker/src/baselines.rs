@@ -44,17 +44,6 @@ pub trait Router {
 
     /// The endpoint actions this strategy needs deployed.
     fn endpoints(&self) -> Vec<ActionName>;
-
-    /// Number of requests for `model` that are dispatched but not yet
-    /// completed, if the strategy tracks it.  The cluster simulator copies
-    /// this into the `PlacementContext` handed to placement policies, so a
-    /// custom scheduler *can* let router state inform placement; none of the
-    /// built-in policies use it (only FnPacker maintains per-model
-    /// statistics).
-    fn pending_for(&self, model: &ModelId) -> Option<usize> {
-        let _ = model;
-        None
-    }
 }
 
 /// Which multi-model strategy to use (Tables III and IV compare all three).
@@ -247,10 +236,6 @@ impl Router for FnPackerRouter {
     fn endpoints(&self) -> Vec<ActionName> {
         self.packer.pool().endpoint_actions()
     }
-
-    fn pending_for(&self, model: &ModelId) -> Option<usize> {
-        self.packer.model_stats(model).map(|stats| stats.pending)
-    }
 }
 
 #[cfg(test)]
@@ -305,8 +290,14 @@ mod tests {
     fn fnpacker_router_tracks_completions_through_the_adapter() {
         let mut router = FnPackerRouter::new(pool());
         let endpoint = router.route(&ModelId::new("m0"), SimTime::from_secs(1));
-        assert_eq!(router.pending_for(&ModelId::new("m0")), Some(1));
-        assert_eq!(router.pending_for(&ModelId::new("zzz")), None);
+        let pending = |router: &FnPackerRouter, model: &str| {
+            router
+                .packer()
+                .model_stats(&ModelId::new(model))
+                .map(|stats| stats.pending)
+        };
+        assert_eq!(pending(&router, "m0"), Some(1));
+        assert_eq!(pending(&router, "zzz"), None);
         router.complete(
             &ModelId::new("m0"),
             &endpoint,
@@ -316,12 +307,6 @@ mod tests {
         );
         let stats = router.packer().model_stats(&ModelId::new("m0")).unwrap();
         assert_eq!(stats.completed, 1);
-        assert_eq!(stats.pending, 0);
-        assert_eq!(router.pending_for(&ModelId::new("m0")), Some(0));
-        // The non-adaptive baselines track nothing.
-        assert_eq!(
-            OneToOneRouter::new(&pool()).pending_for(&ModelId::new("m0")),
-            None
-        );
+        assert_eq!(pending(&router, "m0"), Some(0));
     }
 }

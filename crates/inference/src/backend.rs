@@ -21,7 +21,6 @@
 //! predictions are bit-identical; the unit tests check both bit for bit
 //! against the reference forward pass.
 
-use crate::costs::StageCosts;
 use crate::error::InferenceError;
 use crate::layers::{softmax_in_place, Layer};
 use crate::model::{ModelGraph, ModelId};
@@ -126,13 +125,6 @@ impl Framework {
             (Framework::Tflm, ModelKind::RsNet) => 24 * MB,
             (Framework::Tflm, ModelKind::DsNet) => 12 * MB,
         }
-    }
-
-    /// The calibrated full-scale stage costs for `(self, kind)` from the
-    /// paper's measurements.
-    #[must_use]
-    pub fn stage_costs(self, kind: ModelKind) -> StageCosts {
-        StageCosts::paper_sgx2(kind, self)
     }
 }
 

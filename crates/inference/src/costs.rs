@@ -258,18 +258,6 @@ impl ModelProfile {
         }
     }
 
-    /// All six (model, framework) profiles evaluated in the paper.
-    #[must_use]
-    pub fn all_paper_profiles() -> Vec<ModelProfile> {
-        let mut out = Vec::with_capacity(6);
-        for framework in Framework::ALL {
-            for kind in ModelKind::ALL {
-                out.push(ModelProfile::paper(kind, framework));
-            }
-        }
-        out
-    }
-
     /// λ = runtime buffer size / model size (Fig. 10's caption parameter).
     #[must_use]
     pub fn lambda(&self) -> f64 {
@@ -285,20 +273,6 @@ impl ModelProfile {
         // Shared: decrypted model + transient encrypted copy + code/stack slack.
         let shared = self.model_bytes * 2 + 16 * MB;
         shared + self.runtime_buffer_bytes * concurrency as u64
-    }
-
-    /// Per-thread runtime buffer scaled to batch width: a thread executing
-    /// a stacked batch of `n` inputs holds `n` items' intermediate tensors
-    /// at once, so the buffer grows linearly with the batch — the model
-    /// buffer stays shared (batching widens the activation working set,
-    /// never the weights).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn batch_runtime_buffer_bytes(&self, n: usize) -> u64 {
-        assert!(n >= 1, "a batch holds at least one request");
-        self.runtime_buffer_bytes * n as u64
     }
 
     /// Peak memory if each of `n` requests were served by its *own* enclave —
@@ -328,9 +302,20 @@ impl ModelProfile {
 mod tests {
     use super::*;
 
+    /// All six (model, framework) profiles evaluated in the paper.
+    fn all_paper_profiles() -> Vec<ModelProfile> {
+        let mut out = Vec::with_capacity(6);
+        for framework in Framework::ALL {
+            for kind in ModelKind::ALL {
+                out.push(ModelProfile::paper(kind, framework));
+            }
+        }
+        out
+    }
+
     #[test]
     fn hot_warm_cold_totals_reproduce_fig9_ordering() {
-        for profile in ModelProfile::all_paper_profiles() {
+        for profile in all_paper_profiles() {
             let costs = profile.sgx2;
             assert!(costs.hot_total() < costs.warm_total());
             assert!(costs.warm_total() < costs.cold_total());
@@ -411,7 +396,7 @@ mod tests {
         let tflm_rsnet = ModelProfile::paper(ModelKind::RsNet, Framework::Tflm);
         assert_eq!(tflm_rsnet.enclave_bytes, 352 * MB);
         assert!(tflm_rsnet.lambda() < 0.2);
-        assert_eq!(ModelProfile::all_paper_profiles().len(), 6);
+        assert_eq!(all_paper_profiles().len(), 6);
     }
 
     #[test]
@@ -438,7 +423,7 @@ mod tests {
     fn untrusted_execution_is_comparable_to_hot_invocation() {
         // Fig. 9's observation: hot-path cost is comparable to untrusted
         // execution with a cached model, because model execution dominates.
-        for profile in ModelProfile::all_paper_profiles() {
+        for profile in all_paper_profiles() {
             let hot = profile.sgx2.hot_total().as_secs_f64();
             let untrusted_exec = profile.untrusted.model_exec.as_secs_f64();
             let ratio = hot / untrusted_exec;
@@ -454,7 +439,7 @@ mod tests {
     fn batched_exec_of_one_is_exactly_the_unbatched_stage() {
         // The seam guarantee: a batch of one prices bit-identically to
         // `model_exec`, so batching-off runs reproduce the pinned goldens.
-        for profile in ModelProfile::all_paper_profiles() {
+        for profile in all_paper_profiles() {
             assert_eq!(profile.sgx2.batched(1), profile.sgx2.model_exec);
             assert_eq!(profile.untrusted.batched(1), profile.untrusted.model_exec);
         }
@@ -462,7 +447,7 @@ mod tests {
 
     #[test]
     fn batched_exec_is_monotone_and_sublinear_per_item() {
-        for profile in ModelProfile::all_paper_profiles() {
+        for profile in all_paper_profiles() {
             let costs = profile.sgx2;
             for n in 2..=16usize {
                 let wider = costs.batched(n);
@@ -497,19 +482,6 @@ mod tests {
             "batched(8) {batch8} vs expected {expected}"
         );
         assert!((StageCosts::BATCH_FIXED_FRACTION - 0.4).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn batch_width_scales_the_runtime_buffer_linearly() {
-        let profile = ModelProfile::paper(ModelKind::MbNet, Framework::Tvm);
-        assert_eq!(
-            profile.batch_runtime_buffer_bytes(1),
-            profile.runtime_buffer_bytes
-        );
-        assert_eq!(
-            profile.batch_runtime_buffer_bytes(4),
-            profile.runtime_buffer_bytes * 4
-        );
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Size of the parameters in bytes (`f32` elements).
-    #[must_use]
-    pub fn byte_len(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<f32>()) as u64
-    }
-
     /// Returns the transpose (used by the TVM-style backend's weight
     /// pre-transformation).
     #[must_use]
@@ -211,7 +205,6 @@ mod tests {
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.len(), 6);
         assert!(!m.is_empty());
-        assert_eq!(m.byte_len(), 24);
     }
 
     #[test]

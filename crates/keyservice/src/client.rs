@@ -38,8 +38,7 @@ impl Session {
         rng: &mut R,
     ) -> Result<Self, KeyServiceError> {
         let initiator = HandshakeInitiator::new_client(rng);
-        let (responder_hello, connection, _quote_latency) =
-            service.accept_connection(&initiator.hello(), rng)?;
+        let (responder_hello, connection) = service.accept_connection(&initiator.hello(), rng)?;
         let channel = initiator
             .finish(&responder_hello, verifier, expected_keyservice)
             .map_err(KeyServiceError::from)?;
@@ -57,7 +56,7 @@ impl Session {
         request: &Request,
     ) -> Result<Response, KeyServiceError> {
         let record = self.channel.send(&encode_request(request));
-        let (response_record, _latency) = service.handle_record(self.connection, &record)?;
+        let response_record = service.handle_record(self.connection, &record)?;
         let plaintext = self
             .channel
             .recv(&response_record)
@@ -288,10 +287,8 @@ mod tests {
             &authority,
             CodeIdentity::new("keyservice", b"keyservice code".to_vec(), "1.0"),
             EnclaveConfig::new(64 * MB, 8),
-            1,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         let verifier = authority.verifier();
         let service = KeyService::new(Arc::new(enclave), verifier.clone());
         let semirt_measurement =

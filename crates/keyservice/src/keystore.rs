@@ -104,12 +104,6 @@ impl KeyStore {
         id
     }
 
-    /// Whether a party is registered.
-    #[must_use]
-    pub fn is_registered(&self, party: &PartyId) -> bool {
-        self.ks_i.contains_key(party)
-    }
-
     fn identity_key(&self, party: &PartyId) -> Result<&AeadKey, KeyServiceError> {
         self.ks_i.get(party).ok_or(KeyServiceError::UnknownParty)
     }
@@ -358,7 +352,6 @@ mod tests {
         let identity_key = key(7);
         let id = store.user_registration(identity_key.clone());
         assert_eq!(id, PartyId::from_identity_key(&identity_key));
-        assert!(store.is_registered(&id));
         assert_eq!(store.registered_parties(), 1);
         // Idempotent for the same key.
         assert_eq!(store.user_registration(identity_key), id);

@@ -100,8 +100,8 @@ impl ReplicatedKeyService {
                 if i == j {
                     continue;
                 }
-                let (initiator, _) = HandshakeInitiator::new_attested(services[i].enclave(), rng)?;
-                let (hello, connection, _) =
+                let initiator = HandshakeInitiator::new_attested(services[i].enclave(), rng)?;
+                let (hello, connection) =
                     services[j].accept_peer_connection(&initiator.hello(), &measurement, rng)?;
                 let channel = initiator.finish(&hello, verifier, &measurement)?;
                 links[i][j] = Some(PeerLink {
@@ -243,7 +243,7 @@ impl ReplicatedKeyService {
             let record = link.channel.send(&record_plaintext);
             let peer_response = self.replicas[peer]
                 .handle_record(link.connection, &record)
-                .and_then(|(response_record, _)| {
+                .and_then(|response_record| {
                     link.channel
                         .recv(&response_record)
                         .map_err(|e| KeyServiceError::Channel(e.to_string()))
@@ -288,10 +288,8 @@ mod tests {
             authority,
             CodeIdentity::new(identity, code.to_vec(), "1.0"),
             EnclaveConfig::new(64 * MB, 8),
-            1,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         Arc::new(KeyService::new(Arc::new(enclave), authority.verifier()))
     }
 
@@ -493,7 +491,7 @@ mod tests {
         let mut clients = Vec::new();
         for _ in 0..5 {
             let initiator = HandshakeInitiator::new_client(&mut rng);
-            let (hello, connection, _) = service
+            let (hello, connection) = service
                 .accept_connection(&initiator.hello(), &mut rng)
                 .unwrap();
             initiator

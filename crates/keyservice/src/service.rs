@@ -31,7 +31,6 @@ use sesemi_enclave::ratls::{
 };
 use sesemi_enclave::{Enclave, Measurement, QuoteVerifier};
 use sesemi_inference::ModelId;
-use sesemi_sim::SimDuration;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -114,7 +113,6 @@ pub struct KeyService {
     /// insert one, or close one — never across keystore dispatch.
     connections: Mutex<HashMap<u64, Arc<Mutex<Connection>>>>,
     next_connection: AtomicU64,
-    provisioning_compute: SimDuration,
     /// Seals resumption tickets; keyed from the first attested handshake's
     /// random stream.
     ticket_cipher: OnceLock<Aes128Gcm>,
@@ -130,7 +128,6 @@ impl KeyService {
             store: Mutex::new(KeyStore::new()),
             connections: Mutex::new(HashMap::new()),
             next_connection: AtomicU64::new(0),
-            provisioning_compute: SimDuration::from_millis(3),
             ticket_cipher: OnceLock::new(),
         }
     }
@@ -156,7 +153,7 @@ impl KeyService {
         &self,
         hello: &InitiatorHello,
         rng: &mut R,
-    ) -> Result<(ResponderHello, ConnectionId, SimDuration), KeyServiceError> {
+    ) -> Result<(ResponderHello, ConnectionId), KeyServiceError> {
         // `tcs` is a scoped token: if `respond` rejects the handshake the
         // early return drops it and the TCS is released — a failed
         // attestation must never leak enclave concurrency.
@@ -166,7 +163,7 @@ impl KeyService {
             result.hello.ticket = Some(self.seal_ticket(&result.channel, measurement, rng));
         }
         let connection = self.open(result.channel, tcs);
-        Ok((result.hello, connection, result.quote_latency))
+        Ok((result.hello, connection))
     }
 
     /// Accepts a resumed connection from an enclave that holds a ticket this
@@ -243,7 +240,7 @@ impl KeyService {
         hello: &InitiatorHello,
         expected: &Measurement,
         rng: &mut R,
-    ) -> Result<(ResponderHello, ConnectionId, SimDuration), KeyServiceError> {
+    ) -> Result<(ResponderHello, ConnectionId), KeyServiceError> {
         match hello.quote.as_ref().map(|quote| quote.measurement) {
             Some(measurement) if measurement == *expected => self.accept_connection(hello, rng),
             Some(_) => Err(KeyServiceError::AttestationFailed(
@@ -256,7 +253,7 @@ impl KeyService {
     }
 
     /// Handles one encrypted record on a connection and returns the encrypted
-    /// response record plus the simulated in-enclave processing latency.
+    /// response record.
     ///
     /// A record that authenticates but carries a malformed request yields an
     /// encrypted [`Response::Error`] record, not an `Err`: `recv` has already
@@ -269,7 +266,7 @@ impl KeyService {
         &self,
         connection: ConnectionId,
         record: &[u8],
-    ) -> Result<(Vec<u8>, SimDuration), KeyServiceError> {
+    ) -> Result<Vec<u8>, KeyServiceError> {
         let conn = self
             .connections
             .lock()
@@ -285,8 +282,7 @@ impl KeyService {
             Ok(request) => self.dispatch(request, conn.channel.peer_measurement()),
             Err(err) => Response::Error(err),
         };
-        let record = conn.channel.send(&encode_response(&response));
-        Ok((record, self.provisioning_compute))
+        Ok(conn.channel.send(&encode_response(&response)))
     }
 
     /// Handles an already-decoded request (used by in-process callers and by
@@ -640,10 +636,8 @@ mod tests {
                 &authority,
                 CodeIdentity::new(name, name.as_bytes().to_vec(), "1.0"),
                 EnclaveConfig::new(64 * MB, 8),
-                1,
             )
             .unwrap()
-            .0
         };
         let verifier = authority.verifier();
         let service = KeyService::new(Arc::new(launch("keyservice")), verifier.clone());
@@ -658,8 +652,8 @@ mod tests {
         enclave: &Enclave,
         rng: &mut R,
     ) -> ResumptionSession {
-        let (initiator, _) = HandshakeInitiator::new_attested(enclave, rng).unwrap();
-        let (hello, connection, _) = service.accept_connection(&initiator.hello(), rng).unwrap();
+        let initiator = HandshakeInitiator::new_attested(enclave, rng).unwrap();
+        let (hello, connection) = service.accept_connection(&initiator.hello(), rng).unwrap();
         let channel = initiator
             .finish(&hello, verifier, &service.measurement())
             .unwrap();
@@ -687,7 +681,7 @@ mod tests {
         rng: &mut R,
     ) -> (SecureChannel, ConnectionId) {
         let initiator = HandshakeInitiator::new_client(rng);
-        let (responder_hello, connection, _) =
+        let (responder_hello, connection) =
             service.accept_connection(&initiator.hello(), rng).unwrap();
         let channel = initiator
             .finish(&responder_hello, verifier, &service.measurement())
@@ -708,7 +702,7 @@ mod tests {
 
         // Tag 9 is no known request: authenticates fine, decodes to garbage.
         let garbage = channel.send(&[9u8]);
-        let (response_record, _) = service
+        let response_record = service
             .handle_record(connection, &garbage)
             .expect("a decode failure is answered, not swallowed");
         let plaintext = channel.recv(&response_record).unwrap();
@@ -721,7 +715,7 @@ mod tests {
         let register = channel.send(&encode_request(&Request::Register {
             identity_key: AeadKey::from_bytes([7u8; 16]),
         }));
-        let (response_record, _) = service.handle_record(connection, &register).unwrap();
+        let response_record = service.handle_record(connection, &register).unwrap();
         let plaintext = channel.recv(&response_record).unwrap();
         assert!(matches!(
             decode_response(&plaintext).unwrap(),
@@ -775,7 +769,7 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(5))
                 .expect("connection B must not wait behind connection A")
                 .unwrap();
-            let plaintext = channel_b.recv(&response.0).unwrap();
+            let plaintext = channel_b.recv(&response).unwrap();
             assert!(matches!(
                 decode_response(&plaintext).unwrap(),
                 Response::Registered(_)
@@ -800,7 +794,7 @@ mod tests {
                         let record = channel.send(&encode_request(&Request::Register {
                             identity_key: AeadKey::from_bytes([seed.wrapping_add(round); 16]),
                         }));
-                        let (response, _) = service.handle_record(connection, &record).unwrap();
+                        let response = service.handle_record(connection, &record).unwrap();
                         let plaintext = channel.recv(&response).unwrap();
                         assert!(matches!(
                             decode_response(&plaintext).unwrap(),
@@ -831,16 +825,13 @@ mod tests {
                 &rogue_authority,
                 CodeIdentity::new("rogue", b"rogue code".to_vec(), "1.0"),
                 EnclaveConfig::new(64 * MB, 8),
-                1,
             )
-            .unwrap()
-            .0,
+            .unwrap(),
         );
         // Twice the TCS budget of failures: with the leak, slot 9 onwards
         // could never have been entered.
         for _ in 0..16 {
-            let (initiator, _) =
-                HandshakeInitiator::new_attested(&rogue_enclave, &mut rng).unwrap();
+            let initiator = HandshakeInitiator::new_attested(&rogue_enclave, &mut rng).unwrap();
             let result = service.accept_connection(&initiator.hello(), &mut rng);
             assert!(matches!(result, Err(KeyServiceError::AttestationFailed(_))));
         }
@@ -917,7 +908,7 @@ mod tests {
         let (service, verifier, semirt) = service_and_enclave_fixture();
         let mut rng = SessionRng::from_seed(20);
         let client = HandshakeInitiator::new_client(&mut rng);
-        let (hello, _, _) = service
+        let (hello, _) = service
             .accept_connection(&client.hello(), &mut rng)
             .unwrap();
         assert_eq!(hello.ticket, None);
@@ -942,7 +933,7 @@ mod tests {
             user: PartyId::from_bytes([4u8; 32]),
             model: ModelId::new("mbnet"),
         }));
-        let (response, _) = service.handle_record(connection, &record).unwrap();
+        let response = service.handle_record(connection, &record).unwrap();
         assert_eq!(
             decode_response(&channel.recv(&response).unwrap()).unwrap(),
             Response::Error(KeyServiceError::NotAuthorized)
@@ -1004,7 +995,7 @@ mod tests {
         let record = second.send(&encode_request(&Request::Register {
             identity_key: AeadKey::from_bytes([5u8; 16]),
         }));
-        let (response, _) = service.handle_record(second_connection, &record).unwrap();
+        let response = service.handle_record(second_connection, &record).unwrap();
         assert!(second.recv(&response).is_ok());
     }
 

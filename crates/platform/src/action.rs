@@ -136,12 +136,6 @@ impl ActivationRecord {
         self.completed_at.duration_since(self.submitted_at)
     }
 
-    /// Time spent waiting before execution started.
-    #[must_use]
-    pub fn wait_time(&self) -> SimDuration {
-        self.started_at.duration_since(self.submitted_at)
-    }
-
     /// Execution duration billed by the platform.
     #[must_use]
     pub fn execution_time(&self) -> SimDuration {
@@ -193,7 +187,6 @@ mod tests {
             memory_budget_bytes: 256 * MB,
         };
         assert_eq!(record.latency(), SimDuration::from_millis(1_250));
-        assert_eq!(record.wait_time(), SimDuration::from_millis(250));
         assert_eq!(record.execution_time(), SimDuration::from_secs(1));
         let expected_gbs = 1.0 * (256.0 * 1024.0 * 1024.0) / 1e9;
         assert!((record.gb_seconds() - expected_gbs).abs() < 1e-9);

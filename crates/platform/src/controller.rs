@@ -1,19 +1,24 @@
 //! The platform controller (OpenWhisk's controller + load balancer).
 //!
-//! Scheduling policy, matching the behaviour the paper relies on:
+//! The controller keeps the cluster's state and exposes the views a policy
+//! decides on; it makes no choice itself.  One dispatch, as the cluster
+//! simulator makes it:
 //!
-//! 1. If a warm container for the action has a free concurrency slot, reuse
-//!    it (preferring the most recently used one, which maximizes hot
-//!    invocations for SeMIRT).
-//! 2. Otherwise start a new container on a node, preferring nodes that
-//!    already host containers of the same action ("OpenWhisk ... preferably
-//!    launches instances of a function on the same machine", §VI-C), then
-//!    falling back to the node with the most free invoker memory.
-//! 3. If no node has enough free memory, report saturation; the caller
-//!    queues the request.
+//! 1. [`Controller::warm_candidates_into`] lists the action's warm
+//!    containers with a free concurrency slot; if the scheduler picks one,
+//!    [`Controller::assign_warm`] reuses it (the default pick is the most
+//!    recently used, which maximizes hot invocations for SeMIRT).
+//! 2. Otherwise [`Controller::node_snapshots_into`] describes every node and
+//!    [`Controller::schedule_on`] starts a new container on the node the
+//!    scheduler places it on.  [`default_placement`] prefers nodes already
+//!    hosting the action ("OpenWhisk ... preferably launches instances of a
+//!    function on the same machine", §VI-C), then the node with the most
+//!    free invoker memory.
+//! 3. If no node has enough free memory, the caller queues the request.
 //!
-//! Idle containers are reclaimed after the keep-alive window (Table V:
-//! 3 minutes).
+//! Idle containers are listed by [`Controller::idle_candidates`] and
+//! reclaimed by [`Controller::reclaim_sandboxes`] once a lifecycle policy
+//! evicts them (by default after the keep-alive window, Table V: 3 minutes).
 
 use crate::action::{ActionName, ActionSpec};
 use crate::config::PlatformConfig;
@@ -150,8 +155,8 @@ pub struct WarmCandidate {
     pub still_starting: bool,
 }
 
-/// The controller's built-in placement policy, factored out so external
-/// schedulers can delegate to it: prefer nodes already hosting the action
+/// The platform's default placement policy, for schedulers to delegate to:
+/// prefer nodes already hosting the action
 /// ("home-invoker affinity", lowest index first), then the node with the most
 /// free memory (ties resolved towards the highest index, matching
 /// `Iterator::max_by_key`).  Returns `None` when no node fits.
@@ -220,7 +225,6 @@ pub struct Controller {
     action_node_sandboxes: FxHashMap<ActionName, Vec<usize>>,
     next_sandbox_id: u64,
     total_cold_starts: u64,
-    total_invocations: u64,
     /// Per-action warm-candidate index: exactly the sandboxes of the action
     /// that hold a free concurrency slot on an Active node, ordered by
     /// sandbox id (a `BTreeSet` iterates ascending, so the view keeps the
@@ -252,7 +256,6 @@ impl Controller {
             action_node_sandboxes: FxHashMap::default(),
             next_sandbox_id: 0,
             total_cold_starts: 0,
-            total_invocations: 0,
             warm_index: FxHashMap::default(),
             serving_sandboxes: 0,
             view_sandboxes_scanned: Cell::new(0),
@@ -261,11 +264,11 @@ impl Controller {
     }
 
     /// Total sandbox records examined while serving scheduling-view queries
-    /// ([`Controller::warm_candidates_into`],
-    /// [`Controller::node_snapshots_into`], [`Controller::warm_candidate`])
-    /// since creation — the work counter the scaling regression test pins:
-    /// per-dispatch view cost must depend on the queried action's warm set,
-    /// never on how many sandboxes *other* actions keep alive.
+    /// ([`Controller::warm_candidates_into`] and
+    /// [`Controller::node_snapshots_into`]) since creation — the work
+    /// counter the scaling regression test pins: per-dispatch view cost must
+    /// depend on the queried action's warm set, never on how many sandboxes
+    /// *other* actions keep alive.
     #[must_use]
     pub fn view_sandboxes_scanned(&self) -> u64 {
         self.view_sandboxes_scanned.get()
@@ -345,52 +348,6 @@ impl Controller {
             .ok_or_else(|| PlatformError::UnknownAction(name.as_str().to_string()))
     }
 
-    /// Schedules one invocation of `action` at time `now` using the built-in
-    /// policy: reuse the most-recently-used warm container, otherwise place a
-    /// new container via [`default_placement`].
-    pub fn schedule(
-        &mut self,
-        action: &ActionName,
-        now: SimTime,
-    ) -> Result<ScheduleOutcome, PlatformError> {
-        let spec = self
-            .actions
-            .get(action)
-            .ok_or_else(|| PlatformError::UnknownAction(action.as_str().to_string()))?
-            .clone();
-        self.total_invocations += 1;
-
-        // 1. Reuse the most-recently-used container with a free slot.
-        if let Some(candidate) = self.warm_candidate(action) {
-            return Ok(self.assign_warm_inner(candidate, now));
-        }
-
-        // 2. Start a new container.
-        let mut snapshots = Vec::new();
-        self.node_snapshots_into(action, &mut snapshots);
-        let node = default_placement(spec.memory_budget_bytes, &snapshots).ok_or(
-            PlatformError::ClusterSaturated {
-                required_bytes: spec.memory_budget_bytes,
-            },
-        )?;
-        Ok(self.cold_start_inner(&spec, node, now))
-    }
-
-    /// The most-recently-used warm container of `action` with a free
-    /// concurrency slot, if any (read-only; the caller decides whether to
-    /// assign to it via [`Controller::assign_warm`]).  Served straight from
-    /// the warm index with zero allocation — O(w) in the action's warm set,
-    /// independent of every other action's pool.
-    #[must_use]
-    pub fn warm_candidate(&self, action: &ActionName) -> Option<WarmCandidate> {
-        let set = self.warm_index.get(action)?;
-        self.view_sandboxes_scanned
-            .set(self.view_sandboxes_scanned.get() + set.len() as u64);
-        set.iter()
-            .map(|id| self.materialize_candidate(*id))
-            .max_by_key(|candidate| (candidate.last_used, candidate.sandbox))
-    }
-
     /// Builds the [`WarmCandidate`] view of one indexed sandbox (membership
     /// is maintained incrementally; the volatile fields — `last_used`,
     /// `still_starting` — are read fresh at query time).
@@ -431,7 +388,7 @@ impl Controller {
     ) -> Result<ScheduleOutcome, PlatformError> {
         let sandbox = self
             .sandboxes
-            .get(&candidate.sandbox)
+            .get_mut(&candidate.sandbox)
             .ok_or(PlatformError::UnknownSandbox(candidate.sandbox.0))?;
         if !sandbox.has_free_slot() {
             return Err(PlatformError::InvalidSandboxState {
@@ -439,15 +396,6 @@ impl Controller {
                 reason: "no free concurrency slot".to_string(),
             });
         }
-        self.total_invocations += 1;
-        Ok(self.assign_warm_inner(candidate, now))
-    }
-
-    fn assign_warm_inner(&mut self, candidate: WarmCandidate, now: SimTime) -> ScheduleOutcome {
-        let sandbox = self
-            .sandboxes
-            .get_mut(&candidate.sandbox)
-            .expect("candidate exists");
         let still_starting = sandbox.state == SandboxState::Starting;
         let was_idle = sandbox.is_idle();
         let node = sandbox.node;
@@ -458,10 +406,10 @@ impl Controller {
         }
         self.index_ops += 1;
         self.refresh_warm_membership(candidate.sandbox);
-        ScheduleOutcome::Reused {
+        Ok(ScheduleOutcome::Reused {
             sandbox: candidate.sandbox,
             still_starting,
-        }
+        })
     }
 
     /// Cold-starts a new container of `action` on an explicitly chosen node
@@ -488,16 +436,6 @@ impl Controller {
                 required_bytes: spec.memory_budget_bytes,
             });
         }
-        self.total_invocations += 1;
-        Ok(self.cold_start_inner(&spec, node, now))
-    }
-
-    fn cold_start_inner(
-        &mut self,
-        spec: &ActionSpec,
-        node: NodeId,
-        now: SimTime,
-    ) -> ScheduleOutcome {
         let id = SandboxId(self.next_sandbox_id);
         self.next_sandbox_id += 1;
         let host = &mut self.nodes[node];
@@ -526,7 +464,7 @@ impl Controller {
         self.sandboxes.insert(id, sandbox);
         self.total_cold_starts += 1;
         self.refresh_warm_membership(id);
-        ScheduleOutcome::ColdStart { sandbox: id, node }
+        Ok(ScheduleOutcome::ColdStart { sandbox: id, node })
     }
 
     /// Per-node load/memory snapshots with `action`-specific occupancy, in
@@ -641,23 +579,6 @@ impl Controller {
         Ok(())
     }
 
-    /// Reclaims idle containers whose keep-alive window expired — plus every
-    /// idle container on a draining node, regardless of keep-alive (draining
-    /// means the node is being emptied, so there is no warm pool to preserve
-    /// there).  Returns the reclaimed sandbox ids in ascending id order
-    /// (inherited from [`Controller::idle_candidates`]), so the reclaim
-    /// order is deterministic by construction.
-    pub fn evict_idle(&mut self, now: SimTime) -> Vec<SandboxId> {
-        let expired: Vec<SandboxId> = self
-            .idle_candidates(now)
-            .into_iter()
-            .filter(|candidate| candidate.expired || candidate.node_draining)
-            .map(|candidate| candidate.sandbox)
-            .collect();
-        self.reclaim(&expired);
-        expired
-    }
-
     /// Per-node committed-memory pressure (`memory_used / memory_capacity`),
     /// indexed by `NodeId` over every allocated slot (retired nodes report
     /// 0.0).  One of the pressure views lifecycle policies decide on.
@@ -707,7 +628,8 @@ impl Controller {
     /// placement and warm assignment from this call on, its idle containers
     /// are reclaimed immediately (their ids are returned so callers can drop
     /// per-sandbox bookkeeping), and busy containers finish their in-flight
-    /// work before being reclaimed by later [`Controller::evict_idle`] calls.
+    /// work and are then listed by [`Controller::idle_candidates`] with
+    /// `node_draining` set, for the lifecycle policy to reclaim.
     /// Draining an already-draining node is a no-op; draining a retired or
     /// unknown node is an error.
     pub fn drain_node(&mut self, node: NodeId) -> Result<Vec<SandboxId>, PlatformError> {
@@ -929,12 +851,6 @@ impl Controller {
         self.total_cold_starts
     }
 
-    /// Total invocations scheduled since creation.
-    #[must_use]
-    pub fn invocation_count(&self) -> u64 {
-        self.total_invocations
-    }
-
     /// Number of invoker node slots ever allocated (including draining and
     /// retired ones; node ids range over `0..node_count()`).
     #[must_use]
@@ -975,18 +891,52 @@ mod tests {
         snapshots
     }
 
+    /// One dispatch as the simulator's default policy makes it: the most
+    /// recently used warm candidate, else a new container on the node
+    /// [`default_placement`] picks.
+    fn dispatch(
+        c: &mut Controller,
+        action: &ActionName,
+        now: SimTime,
+    ) -> Result<ScheduleOutcome, PlatformError> {
+        let mut warm = Vec::new();
+        c.warm_candidates_into(action, &mut warm);
+        if let Some(candidate) = warm.into_iter().max_by_key(|w| (w.last_used, w.sandbox)) {
+            return c.assign_warm(candidate, now);
+        }
+        let required_bytes = c.action(action)?.memory_budget_bytes;
+        let node = default_placement(required_bytes, &snapshots_of(c, action))
+            .ok_or(PlatformError::ClusterSaturated { required_bytes })?;
+        c.schedule_on(action, node, now)
+    }
+
+    /// One keep-alive pass under the age-only rule: reclaims every expired
+    /// idle container and every idle one on a draining node, and returns
+    /// their ids in ascending order.
+    fn evict_idle(c: &mut Controller, now: SimTime) -> Vec<SandboxId> {
+        let evicted: Vec<SandboxId> = c
+            .idle_candidates(now)
+            .into_iter()
+            .filter(|candidate| candidate.expired || candidate.node_draining)
+            .map(|candidate| candidate.sandbox)
+            .collect();
+        c.reclaim_sandboxes(&evicted)
+            .expect("idle candidates are reclaimable");
+        evicted
+    }
+
     #[test]
     fn first_invocation_cold_starts_then_reuses() {
         let mut c = controller(2, 1024);
         c.register_action(spec("mbnet", 128, 1)).unwrap();
-        let first = c.schedule(&"mbnet".into(), SimTime::from_secs(1)).unwrap();
+        let first = dispatch(&mut c, &"mbnet".into(), SimTime::from_secs(1)).unwrap();
         assert!(first.is_cold_start());
         assert_eq!(c.cold_start_count(), 1);
         c.sandbox_ready(first.sandbox()).unwrap();
         c.invocation_finished(first.sandbox(), SimTime::from_secs(2))
             .unwrap();
 
-        let second = c.schedule(&"mbnet".into(), SimTime::from_secs(3)).unwrap();
+        let second = dispatch(&mut c, &"mbnet".into(), SimTime::from_secs(3)).unwrap();
         assert_eq!(
             second,
             ScheduleOutcome::Reused {
@@ -995,28 +945,21 @@ mod tests {
             }
         );
         assert_eq!(c.cold_start_count(), 1);
-        assert_eq!(c.invocation_count(), 2);
     }
 
     #[test]
     fn concurrency_slots_allow_multiple_in_flight_invocations() {
         let mut c = controller(1, 2048);
         c.register_action(spec("tvm-dsnet", 384, 4)).unwrap();
-        let first = c
-            .schedule(&"tvm-dsnet".into(), SimTime::from_secs(1))
-            .unwrap();
+        let first = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
         assert!(first.is_cold_start());
         // Three more requests pack into the same container (4 TCS slots).
         for _ in 0..3 {
-            let outcome = c
-                .schedule(&"tvm-dsnet".into(), SimTime::from_secs(1))
-                .unwrap();
+            let outcome = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
             assert_eq!(outcome.sandbox(), first.sandbox());
         }
         // The fifth needs a new container.
-        let fifth = c
-            .schedule(&"tvm-dsnet".into(), SimTime::from_secs(1))
-            .unwrap();
+        let fifth = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
         assert!(fifth.is_cold_start());
         assert_eq!(c.sandbox_count(), 2);
         assert_eq!(c.serving_sandbox_count(), 2);
@@ -1027,13 +970,13 @@ mod tests {
         let mut c = controller(3, 4096);
         c.register_action(spec("rsnet", 768, 1)).unwrap();
         c.register_action(spec("other", 768, 1)).unwrap();
-        let a = c.schedule(&"rsnet".into(), SimTime::from_secs(1)).unwrap();
+        let a = dispatch(&mut c, &"rsnet".into(), SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node: home, .. } = a else {
             panic!("expected cold start")
         };
         // A different action may land anywhere; rsnet's next container should
         // stay on its home node while memory allows.
-        let b = c.schedule(&"rsnet".into(), SimTime::from_secs(1)).unwrap();
+        let b = dispatch(&mut c, &"rsnet".into(), SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node, .. } = b else {
             panic!("expected cold start")
         };
@@ -1044,11 +987,9 @@ mod tests {
     fn saturation_is_reported_when_no_node_fits() {
         let mut c = controller(2, 256);
         c.register_action(spec("big", 256, 1)).unwrap();
-        let _a = c.schedule(&"big".into(), SimTime::from_secs(1)).unwrap();
-        let _b = c.schedule(&"big".into(), SimTime::from_secs(1)).unwrap();
-        let err = c
-            .schedule(&"big".into(), SimTime::from_secs(1))
-            .unwrap_err();
+        let _a = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap();
+        let _b = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap();
+        let err = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap_err();
         assert!(matches!(err, PlatformError::ClusterSaturated { .. }));
         assert_eq!(c.committed_memory_bytes(), 512 * MB);
     }
@@ -1057,16 +998,16 @@ mod tests {
     fn keep_alive_eviction_frees_memory() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 256, 1)).unwrap();
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(outcome.sandbox()).unwrap();
         c.invocation_finished(outcome.sandbox(), SimTime::from_secs(5))
             .unwrap();
 
         // Before the keep-alive window nothing is evicted.
-        assert!(c.evict_idle(SimTime::from_secs(100)).is_empty());
+        assert!(evict_idle(&mut c, SimTime::from_secs(100)).is_empty());
         assert_eq!(c.sandbox_count(), 1);
         // After 3 minutes of idleness the container is reclaimed.
-        let evicted = c.evict_idle(SimTime::from_secs(5 + 181));
+        let evicted = evict_idle(&mut c, SimTime::from_secs(5 + 181));
         assert_eq!(evicted, vec![outcome.sandbox()]);
         assert_eq!(c.sandbox_count(), 0);
         assert_eq!(c.committed_memory_bytes(), 0);
@@ -1077,10 +1018,12 @@ mod tests {
     fn busy_containers_are_never_evicted() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 128, 1)).unwrap();
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
-        assert!(c
-            .evict_idle(SimTime::from_secs(1) + SimDuration::from_secs(10_000))
-            .is_empty());
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        assert!(evict_idle(
+            &mut c,
+            SimTime::from_secs(1) + SimDuration::from_secs(10_000)
+        )
+        .is_empty());
         assert_eq!(c.sandbox(outcome.sandbox()).unwrap().active, 1);
     }
 
@@ -1088,7 +1031,7 @@ mod tests {
     fn unknown_action_and_sandbox_errors() {
         let mut c = controller(1, 1024);
         assert!(matches!(
-            c.schedule(&"ghost".into(), SimTime::ZERO),
+            dispatch(&mut c, &"ghost".into(), SimTime::ZERO),
             Err(PlatformError::UnknownAction(_))
         ));
         assert!(matches!(
@@ -1106,7 +1049,7 @@ mod tests {
     fn finishing_an_idle_sandbox_is_an_error_not_a_panic() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 128, 1)).unwrap();
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         c.invocation_finished(outcome.sandbox(), SimTime::from_secs(2))
             .unwrap();
         let err = c
@@ -1128,9 +1071,9 @@ mod tests {
     fn reuse_reports_still_starting_containers() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 128, 2)).unwrap();
-        let first = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let first = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         // Second request arrives before the container finished cold starting.
-        let second = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let second = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         match second {
             ScheduleOutcome::Reused {
                 sandbox,
@@ -1150,98 +1093,11 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_scheduling_api_is_equivalent_to_schedule() {
-        // Drive two controllers in lockstep over a deterministic
-        // pseudo-random mix of schedules, completions and evictions: one
-        // through the built-in `schedule()`, the other through the
-        // decomposed warm_candidate/assign_warm/default_placement/
-        // schedule_on path the pluggable schedulers use.  Every outcome must
-        // match — this is the real equivalence guarantee behind the
-        // "behaviour-preserving default scheduler" claim.
-        let mut built_in = controller(3, 1024);
-        let mut decomposed = controller(3, 1024);
-        for c in [&mut built_in, &mut decomposed] {
-            c.register_action(spec("a", 256, 2)).unwrap();
-            c.register_action(spec("b", 128, 1)).unwrap();
-        }
-        let mut in_flight: Vec<SandboxId> = Vec::new();
-        let mut state = 0x1234_5678_u64;
-        for step in 0..400u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let roll = state >> 33;
-            let now = SimTime::from_secs(step);
-            match roll % 5 {
-                0..=2 => {
-                    let action: ActionName = if roll % 2 == 0 {
-                        "a".into()
-                    } else {
-                        "b".into()
-                    };
-                    let expected = built_in.schedule(&action, now);
-                    let actual = match decomposed.warm_candidate(&action) {
-                        Some(candidate) => decomposed.assign_warm(candidate, now),
-                        None => {
-                            let bytes = decomposed.action(&action).unwrap().memory_budget_bytes;
-                            match default_placement(bytes, &snapshots_of(&decomposed, &action)) {
-                                Some(node) => decomposed.schedule_on(&action, node, now),
-                                None => Err(PlatformError::ClusterSaturated {
-                                    required_bytes: bytes,
-                                }),
-                            }
-                        }
-                    };
-                    match (&expected, &actual) {
-                        (Ok(e), Ok(a)) => {
-                            assert_eq!(e, a, "step {step}");
-                            let id = e.sandbox();
-                            if e.is_cold_start() {
-                                built_in.sandbox_ready(id).unwrap();
-                                decomposed.sandbox_ready(id).unwrap();
-                            }
-                            in_flight.push(id);
-                        }
-                        (Err(_), Err(_)) => {}
-                        other => panic!("step {step}: outcomes diverged: {other:?}"),
-                    }
-                }
-                3 => {
-                    if !in_flight.is_empty() {
-                        let id = in_flight.remove((roll as usize / 7) % in_flight.len());
-                        built_in.invocation_finished(id, now).unwrap();
-                        decomposed.invocation_finished(id, now).unwrap();
-                    }
-                }
-                _ => {
-                    // HashMap iteration order differs per instance; compare
-                    // the eviction sets, not their order.
-                    let mut e = built_in.evict_idle(now);
-                    let mut a = decomposed.evict_idle(now);
-                    e.sort_unstable();
-                    a.sort_unstable();
-                    assert_eq!(e, a, "step {step}");
-                }
-            }
-        }
-        assert_eq!(built_in.sandbox_count(), decomposed.sandbox_count());
-        assert_eq!(built_in.cold_start_count(), decomposed.cold_start_count());
-        assert_eq!(
-            built_in.committed_memory_bytes(),
-            decomposed.committed_memory_bytes()
-        );
-        assert!(
-            built_in.cold_start_count() > 0,
-            "workload never cold-started"
-        );
-    }
-
-    #[test]
     fn node_snapshots_track_memory_and_action_occupancy() {
         let mut c = controller(2, 1024);
         c.register_action(spec("a", 256, 2)).unwrap();
         c.register_action(spec("b", 256, 1)).unwrap();
-        let a = c.schedule(&"a".into(), SimTime::from_secs(1)).unwrap();
+        let a = dispatch(&mut c, &"a".into(), SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node: a_node, .. } = a else {
             panic!("expected cold start")
         };
@@ -1288,13 +1144,18 @@ mod tests {
     fn warm_candidates_and_explicit_assignment() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 128, 1)).unwrap();
-        assert!(c.warm_candidate(&"f".into()).is_none());
-        let first = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let mut warm = Vec::new();
+        c.warm_candidates_into(&"f".into(), &mut warm);
+        assert!(warm.is_empty());
+        let first = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(first.sandbox()).unwrap();
         c.invocation_finished(first.sandbox(), SimTime::from_secs(2))
             .unwrap();
 
-        let candidate = c.warm_candidate(&"f".into()).expect("warm container");
+        c.warm_candidates_into(&"f".into(), &mut warm);
+        let [candidate] = warm[..] else {
+            panic!("expected one warm container, got {warm:?}")
+        };
         assert_eq!(candidate.sandbox, first.sandbox());
         assert!(!candidate.still_starting);
         let outcome = c.assign_warm(candidate, SimTime::from_secs(3)).unwrap();
@@ -1305,7 +1166,6 @@ mod tests {
                 still_starting: false
             }
         );
-        assert_eq!(c.invocation_count(), 2);
         // The slot is now taken; a stale candidate is refused.
         assert!(matches!(
             c.assign_warm(candidate, SimTime::from_secs(4)),
@@ -1350,10 +1210,10 @@ mod tests {
     fn added_nodes_are_schedulable_and_grow_the_pool() {
         let mut c = controller(1, 512);
         c.register_action(spec("f", 512, 1)).unwrap();
-        let _ = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let _ = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         // Node 0 is full: the cluster saturates...
         assert!(matches!(
-            c.schedule(&"f".into(), SimTime::from_secs(1)),
+            dispatch(&mut c, &"f".into(), SimTime::from_secs(1)),
             Err(PlatformError::ClusterSaturated { .. })
         ));
         // ...until a new node joins with the configured invoker memory.
@@ -1362,7 +1222,7 @@ mod tests {
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.active_node_count(), 2);
         assert_eq!(c.provisioned_memory_bytes(), 2 * 512 * MB);
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(2)).unwrap();
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(2)).unwrap();
         assert_eq!(
             outcome,
             ScheduleOutcome::ColdStart {
@@ -1416,7 +1276,7 @@ mod tests {
         // The now-idle survivor is reclaimed on the next eviction pass even
         // though its keep-alive window has not expired...
         assert!(c.drained_empty_nodes().is_empty());
-        let reaped = c.evict_idle(SimTime::from_secs(6));
+        let reaped = evict_idle(&mut c, SimTime::from_secs(6));
         assert_eq!(reaped, vec![busy.sandbox()]);
         // ...after which the node can be removed and stops costing capacity.
         assert_eq!(c.drained_empty_nodes(), vec![0]);
@@ -1451,7 +1311,7 @@ mod tests {
         assert!(c.drain_node(7).is_err());
         c.invocation_finished(busy.sandbox(), SimTime::from_secs(2))
             .unwrap();
-        c.evict_idle(SimTime::from_secs(3));
+        evict_idle(&mut c, SimTime::from_secs(3));
         c.remove_node(0).unwrap();
         assert!(c.drain_node(0).is_err());
         assert!(c.remove_node(0).is_err());
@@ -1508,7 +1368,7 @@ mod tests {
     fn kill_sandbox_reclaims_busy_containers_and_frees_their_memory() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 256, 2)).unwrap();
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(outcome.sandbox()).unwrap();
         assert_eq!(c.serving_sandbox_count(), 1);
         c.kill_sandbox(outcome.sandbox()).unwrap();
@@ -1531,7 +1391,7 @@ mod tests {
             .unwrap();
         c.sandbox_ready(home.sandbox()).unwrap();
         c.drain_node(0).unwrap();
-        let outcome = c.schedule(&"f".into(), SimTime::from_secs(2)).unwrap();
+        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(2)).unwrap();
         assert_eq!(
             outcome,
             ScheduleOutcome::ColdStart {
@@ -1559,7 +1419,7 @@ mod tests {
                 .unwrap();
             ids.push(outcome.sandbox());
         }
-        let evicted = c.evict_idle(SimTime::from_secs(2 + 200));
+        let evicted = evict_idle(&mut c, SimTime::from_secs(2 + 200));
         assert_eq!(evicted.len(), 12);
         assert!(
             evicted.windows(2).all(|pair| pair[0] < pair[1]),
@@ -1613,7 +1473,7 @@ mod tests {
     fn reclaim_sandboxes_is_atomic_and_refuses_busy_or_unknown_ids() {
         let mut c = controller(1, 1024);
         c.register_action(spec("f", 256, 1)).unwrap();
-        let idle = c.schedule(&"f".into(), SimTime::from_secs(1)).unwrap();
+        let idle = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(idle.sandbox()).unwrap();
         c.invocation_finished(idle.sandbox(), SimTime::from_secs(2))
             .unwrap();
@@ -1685,7 +1545,6 @@ mod tests {
             let mut warm = Vec::new();
             c.warm_candidates_into(&"hot".into(), &mut warm);
             assert_eq!(warm.len(), 2, "both hot containers stay warm");
-            let _ = c.warm_candidate(&"hot".into()).expect("warm MRU");
             let mut snapshots = Vec::new();
             c.node_snapshots_into(&"hot".into(), &mut snapshots);
             c.view_sandboxes_scanned() - before

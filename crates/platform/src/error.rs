@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by the platform controller and storage.
+/// Errors raised by the platform controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlatformError {
     /// The action has not been registered with the controller.
@@ -15,8 +15,6 @@ pub enum PlatformError {
         /// Memory the container would have needed, in bytes.
         required_bytes: u64,
     },
-    /// The requested object is not in cloud storage.
-    ObjectNotFound(String),
     /// An action was registered twice with conflicting specifications.
     ActionAlreadyRegistered(String),
     /// The sandbox is not in a state that allows the requested transition
@@ -55,7 +53,6 @@ impl fmt::Display for PlatformError {
                 f,
                 "cluster saturated: no node can host another {required_bytes}-byte container"
             ),
-            PlatformError::ObjectNotFound(key) => write!(f, "object not found in storage: {key}"),
             PlatformError::ActionAlreadyRegistered(name) => {
                 write!(f, "action already registered: {name}")
             }

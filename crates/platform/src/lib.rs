@@ -19,9 +19,6 @@
 //! * **Sandboxes** — containers with cold-start latency, a keep-alive window
 //!   (3 minutes by default, Table V) after which idle containers are
 //!   reclaimed, and per-container concurrency slots.
-//! * **Cloud storage** — the object store that holds encrypted models and
-//!   function images, with a latency/bandwidth model matching the Azure Blob
-//!   numbers quoted in §VI-A.
 //! * **Metering** — GB·second accounting used for the cost results (Fig. 14).
 //!
 //! The crate knows nothing about SGX or models; `sesemi-runtime` and the
@@ -36,7 +33,6 @@ pub mod controller;
 pub mod error;
 pub mod metering;
 pub mod sandbox;
-pub mod storage;
 
 pub use action::{ActionName, ActionSpec, ActivationId, ActivationRecord};
 pub use config::PlatformConfig;
@@ -46,4 +42,3 @@ pub use controller::{
 };
 pub use error::PlatformError;
 pub use sandbox::{Sandbox, SandboxId, SandboxState};
-pub use storage::{CloudStorage, StorageClass};

@@ -24,7 +24,6 @@ pub struct Metering {
     last_memory_point: Option<f64>,
     last_sandbox_point: Option<f64>,
     last_serving_point: Option<f64>,
-    activations: u64,
     cold_starts: u64,
 }
 
@@ -37,7 +36,6 @@ impl Metering {
 
     /// Records a completed activation.
     pub fn record_activation(&mut self, record: &ActivationRecord) {
-        self.activations += 1;
         if record.cold_start {
             self.cold_starts += 1;
         }
@@ -105,22 +103,6 @@ impl Metering {
         &self.per_action_gb_seconds
     }
 
-    /// GB·seconds billed for one action (per-activation execution-time ×
-    /// memory metering).
-    #[must_use]
-    pub fn action_gb_seconds(&self, action: &ActionName) -> f64 {
-        self.per_action_gb_seconds
-            .get(action)
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Total GB·seconds across all actions.
-    #[must_use]
-    pub fn total_gb_seconds(&self) -> f64 {
-        self.per_action_gb_seconds.values().sum()
-    }
-
     /// Cluster-level GB·seconds computed as the integral of committed sandbox
     /// memory over time — the metric Fig. 14 reports ("the number of sandbox
     /// instances times the memory budget", integrated over the workload).
@@ -153,12 +135,6 @@ impl Metering {
     #[must_use]
     pub fn into_series(self) -> (TimeSeries, TimeSeries, TimeSeries) {
         (self.memory_series, self.sandbox_series, self.node_series)
-    }
-
-    /// Number of activations recorded.
-    #[must_use]
-    pub fn activation_count(&self) -> u64 {
-        self.activations
     }
 
     /// Number of activations that caused a cold start.
@@ -205,14 +181,13 @@ mod tests {
         metering.record_activation(&record("a", 0, 1_000, true, GB));
         metering.record_activation(&record("a", 0, 2_000, false, GB));
         metering.record_activation(&record("b", 0, 500, false, 2 * GB));
-        let a = metering.action_gb_seconds(&ActionName::new("a"));
-        let b = metering.action_gb_seconds(&ActionName::new("b"));
+        let billed = metering.per_action_gb_seconds();
+        let a = billed[&ActionName::new("a")];
+        let b = billed[&ActionName::new("b")];
         assert!((a - 3.0 * 1.073741824).abs() < 1e-6, "a = {a}");
         assert!((b - 0.5 * 2.147483648).abs() < 1e-6, "b = {b}");
-        assert!((metering.total_gb_seconds() - a - b).abs() < 1e-9);
-        assert_eq!(metering.activation_count(), 3);
+        assert_eq!(billed.len(), 2);
         assert_eq!(metering.cold_start_count(), 1);
-        assert_eq!(metering.action_gb_seconds(&ActionName::new("missing")), 0.0);
     }
 
     #[test]

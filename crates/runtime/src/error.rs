@@ -31,13 +31,6 @@ pub enum RuntimeError {
     /// Concurrency is disabled (sequential mode) and another request is in
     /// flight.
     SequentialModeBusy,
-    /// A multi-request batch was submitted to a configuration that refuses
-    /// it: strong isolation (which never coalesces requests, §V), a batch
-    /// wider than the configured window, or a batch mixing users or models.
-    BatchRefused {
-        /// Why the batch was refused.
-        reason: String,
-    },
     /// The dispatcher named a worker the instance does not have: every
     /// worker is bound to one of the enclave's TCSs.
     UnknownWorker {
@@ -63,9 +56,6 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::SequentialModeBusy => {
                 write!(f, "sequential mode: another request is executing")
-            }
-            RuntimeError::BatchRefused { reason } => {
-                write!(f, "batch refused: {reason}")
             }
             RuntimeError::UnknownWorker {
                 worker_id,

@@ -36,5 +36,5 @@ pub mod stages;
 pub use error::RuntimeError;
 pub use provider::{InMemoryModelStore, KeyProvider, KeyServiceProvider, ModelFetcher};
 pub use request::{InferenceRequest, InferenceResponse};
-pub use semirt::{BatchWindow, SemirtConfig, SemirtInstance};
+pub use semirt::{SemirtConfig, SemirtInstance};
 pub use stages::{InvocationPath, InvocationReport, ServingStage};

@@ -18,7 +18,6 @@ use sesemi_keyservice::service::{
     decode_response, encode_request, ConnectionId, KeyService, Request, Response,
 };
 use sesemi_keyservice::{KeyServiceError, PartyId};
-use sesemi_sim::SimDuration;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -41,11 +40,8 @@ pub trait KeyProvider: Send + Sync {
 
 /// Fetches encrypted model blobs from storage.
 pub trait ModelFetcher: Send + Sync {
-    /// Returns the encrypted model bytes and the simulated transfer latency.
-    fn fetch_encrypted_model(
-        &self,
-        model: &ModelId,
-    ) -> Result<(Vec<u8>, SimDuration), RuntimeError>;
+    /// Returns the encrypted model bytes.
+    fn fetch_encrypted_model(&self, model: &ModelId) -> Result<Vec<u8>, RuntimeError>;
 }
 
 /// The production [`KeyProvider`]: talks to the in-process [`KeyService`]
@@ -95,7 +91,7 @@ impl KeyServiceProvider {
         request: &[u8],
     ) -> Result<Response, RuntimeError> {
         let record = channel.send(request);
-        let (response_record, _) = self
+        let response_record = self
             .service
             .handle_record(connection, &record)
             .map_err(RuntimeError::from)?;
@@ -158,8 +154,8 @@ impl KeyProvider for KeyServiceProvider {
             None => {
                 *session = None;
                 // Mutual attestation: SeMIRT proves its identity, verifies E_K.
-                let (initiator, _) = HandshakeInitiator::new_attested(enclave, &mut rng)?;
-                let (hello, id, _) = self
+                let initiator = HandshakeInitiator::new_attested(enclave, &mut rng)?;
+                let (hello, id) = self
                     .service
                     .accept_connection(&initiator.hello(), &mut rng)?;
                 let connection = self.opened(id);
@@ -192,17 +188,13 @@ impl KeyProvider for KeyServiceProvider {
 #[derive(Default)]
 pub struct InMemoryModelStore {
     models: Mutex<HashMap<ModelId, Vec<u8>>>,
-    latency_per_mb: SimDuration,
 }
 
 impl InMemoryModelStore {
-    /// Creates an empty store with a ~cluster-NFS latency profile.
+    /// Creates an empty store.
     #[must_use]
     pub fn new() -> Self {
-        InMemoryModelStore {
-            models: Mutex::new(HashMap::new()),
-            latency_per_mb: SimDuration::from_micros(900),
-        }
+        InMemoryModelStore::default()
     }
 
     /// Uploads an encrypted model blob.
@@ -224,18 +216,12 @@ impl InMemoryModelStore {
 }
 
 impl ModelFetcher for InMemoryModelStore {
-    fn fetch_encrypted_model(
-        &self,
-        model: &ModelId,
-    ) -> Result<(Vec<u8>, SimDuration), RuntimeError> {
-        let models = self.models.lock();
-        let bytes = models
+    fn fetch_encrypted_model(&self, model: &ModelId) -> Result<Vec<u8>, RuntimeError> {
+        self.models
+            .lock()
             .get(model)
             .cloned()
-            .ok_or_else(|| RuntimeError::ModelFetch(format!("model {model} not in storage")))?;
-        let mb = bytes.len() as f64 / (1024.0 * 1024.0);
-        let latency = SimDuration::from_millis(2) + self.latency_per_mb.mul_f64(mb);
-        Ok((bytes, latency))
+            .ok_or_else(|| RuntimeError::ModelFetch(format!("model {model} not in storage")))
     }
 }
 
@@ -299,20 +285,17 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_store_serves_models_with_size_dependent_latency() {
+    fn in_memory_store_serves_stored_models_and_refuses_missing_ones() {
         let store = InMemoryModelStore::new();
         assert!(store.is_empty());
-        store.put(ModelId::new("small"), vec![0u8; 1024]);
-        store.put(ModelId::new("large"), vec![0u8; 10 * 1024 * 1024]);
+        store.put(ModelId::new("small"), vec![1u8; 1024]);
+        store.put(ModelId::new("large"), vec![2u8; 10 * 1024 * 1024]);
         assert_eq!(store.len(), 2);
 
-        let (small_bytes, small_latency) =
-            store.fetch_encrypted_model(&ModelId::new("small")).unwrap();
-        let (large_bytes, large_latency) =
-            store.fetch_encrypted_model(&ModelId::new("large")).unwrap();
-        assert_eq!(small_bytes.len(), 1024);
-        assert_eq!(large_bytes.len(), 10 * 1024 * 1024);
-        assert!(large_latency > small_latency);
+        let small = store.fetch_encrypted_model(&ModelId::new("small")).unwrap();
+        let large = store.fetch_encrypted_model(&ModelId::new("large")).unwrap();
+        assert_eq!(small, vec![1u8; 1024]);
+        assert_eq!(large, vec![2u8; 10 * 1024 * 1024]);
 
         assert!(matches!(
             store.fetch_encrypted_model(&ModelId::new("missing")),

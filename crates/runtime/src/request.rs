@@ -100,12 +100,6 @@ impl InferenceRequest {
             .map_err(|_| RuntimeError::RequestDecryption)?;
         decode_input(&plaintext)
     }
-
-    /// Size of the encrypted request on the wire, used for memory accounting.
-    #[must_use]
-    pub fn wire_bytes(&self) -> usize {
-        self.payload.wire_len() + self.model.as_str().len() + 32
-    }
 }
 
 /// An encrypted inference response.
@@ -180,7 +174,6 @@ mod tests {
         let request =
             InferenceRequest::encrypt(user(1), ModelId::new("mbnet"), &features, &key, &mut rng);
         assert_eq!(request.decrypt(&key).unwrap(), features);
-        assert!(request.wire_bytes() > features.len() * 4);
     }
 
     #[test]

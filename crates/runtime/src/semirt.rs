@@ -18,7 +18,6 @@ use sesemi_enclave::ratls::ResumptionSession;
 use sesemi_enclave::{CodeIdentity, Enclave, EnclaveConfig, Measurement, SgxPlatform};
 use sesemi_inference::{Framework, LoadedModel, ModelId, ModelRuntime};
 use sesemi_keyservice::PartyId;
-use sesemi_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,14 +41,6 @@ pub struct SemirtConfig {
     /// Optionally pin the instance to a single model id ("SeMIRT can be
     /// configured to fix the model", §V).
     pub pinned_model: Option<ModelId>,
-    /// Maximum number of compatible requests a worker may execute as one
-    /// batch.  `1` (the default) disables batching entirely; like the
-    /// concurrency level, the window is part of the measured configuration so
-    /// owners and users grant access to a *batching* image knowingly.
-    pub batch_window: usize,
-    /// How long an open batching window may hold its first request while
-    /// waiting for more to coalesce before it must flush.
-    pub batch_max_wait: SimDuration,
     /// Version string of the SeMIRT code.
     pub version: String,
 }
@@ -64,43 +55,15 @@ impl SemirtConfig {
             tcs_count,
             strong_isolation: false,
             pinned_model: None,
-            batch_window: 1,
-            batch_max_wait: SimDuration::ZERO,
             version: "1.0".to_string(),
         }
     }
 
-    /// Enables the strong-isolation settings (forces TCS count to 1 and
-    /// disables the batching window — strong isolation never coalesces
-    /// requests, §V).
+    /// Enables the strong-isolation settings (forces TCS count to 1).
     #[must_use]
     pub fn with_strong_isolation(mut self) -> Self {
         self.strong_isolation = true;
         self.tcs_count = 1;
-        self.batch_window = 1;
-        self.batch_max_wait = SimDuration::ZERO;
-        self
-    }
-
-    /// Enables the batching window: up to `window` compatible requests may
-    /// execute as one batch, and an open window waits at most `max_wait` for
-    /// peers before flushing.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero or if strong isolation is enabled (the two
-    /// settings are contradictory by construction).
-    #[must_use]
-    pub fn with_batching(mut self, window: usize, max_wait: SimDuration) -> Self {
-        assert!(
-            window >= 1,
-            "the batching window holds at least one request"
-        );
-        assert!(
-            !self.strong_isolation || window == 1,
-            "strong isolation refuses request coalescing (§V)"
-        );
-        self.batch_window = window;
-        self.batch_max_wait = max_wait;
         self
     }
 
@@ -122,9 +85,7 @@ impl SemirtConfig {
         )
         .with_setting("tcs_count", self.tcs_count)
         .with_setting("strong_isolation", self.strong_isolation)
-        .with_setting("framework", self.framework.label())
-        .with_setting("batch_window", self.batch_window)
-        .with_setting("batch_max_wait_ns", self.batch_max_wait.as_nanos());
+        .with_setting("framework", self.framework.label());
         if let Some(model) = &self.pinned_model {
             identity = identity.with_setting("pinned_model", model.as_str());
         }
@@ -200,43 +161,33 @@ pub struct SemirtInstance {
 }
 
 impl SemirtInstance {
-    /// Launches a SeMIRT sandbox: creates the enclave (paying the calibrated
-    /// initialization cost) and wires up the key provider and model storage.
+    /// Launches a SeMIRT sandbox: creates the enclave (committing its EPC
+    /// pages) and wires up the key provider and model storage.
     pub fn launch(
         platform: &SgxPlatform,
         authority: &Arc<AttestationAuthority>,
         config: SemirtConfig,
         key_provider: Arc<dyn KeyProvider>,
         model_fetcher: Arc<dyn ModelFetcher>,
-        concurrent_inits: usize,
         rng_seed: u64,
-    ) -> Result<(Self, SimDuration), RuntimeError> {
+    ) -> Result<Self, RuntimeError> {
         let enclave_config = EnclaveConfig::new(config.enclave_bytes, config.tcs_count);
         let workers = (0..config.tcs_count).map(|_| Mutex::new(None)).collect();
-        let (enclave, init_latency) = Enclave::launch(
-            platform,
-            authority,
-            config.code_identity(),
-            enclave_config,
-            concurrent_inits,
-        )?;
-        Ok((
-            SemirtInstance {
-                config,
-                enclave: Arc::new(enclave),
-                key_provider,
-                model_fetcher,
-                key_cache: Mutex::new(None),
-                session: Mutex::new(None),
-                model_cache: Mutex::new(None),
-                workers,
-                sequential_guard: Mutex::new(()),
-                rng: Mutex::new(SessionRng::from_seed(rng_seed)),
-                served: AtomicU64::new(0),
-                stats: Mutex::new(InstanceStats::default()),
-            },
-            init_latency,
-        ))
+        let enclave = Enclave::launch(platform, authority, config.code_identity(), enclave_config)?;
+        Ok(SemirtInstance {
+            config,
+            enclave: Arc::new(enclave),
+            key_provider,
+            model_fetcher,
+            key_cache: Mutex::new(None),
+            session: Mutex::new(None),
+            model_cache: Mutex::new(None),
+            workers,
+            sequential_guard: Mutex::new(()),
+            rng: Mutex::new(SessionRng::from_seed(rng_seed)),
+            served: AtomicU64::new(0),
+            stats: Mutex::new(InstanceStats::default()),
+        })
     }
 
     /// This instance's configuration.
@@ -255,13 +206,6 @@ impl SemirtInstance {
     #[must_use]
     pub fn enclave(&self) -> &Arc<Enclave> {
         &self.enclave
-    }
-
-    /// Bytes currently allocated from the enclave heap (decrypted model +
-    /// per-worker runtime buffers).
-    #[must_use]
-    pub fn enclave_heap_used(&self) -> u64 {
-        self.enclave.heap_used()
     }
 
     /// Counters by invocation path.
@@ -317,8 +261,8 @@ impl SemirtInstance {
         let mut stages = Vec::with_capacity(8);
         let first_request = self.served.fetch_add(1, Ordering::SeqCst) == 0;
         if first_request {
-            // The enclave-initialization cost was paid when this instance was
-            // launched to serve this very request.
+            // The enclave was initialized when this instance was launched to
+            // serve this very request.
             stages.push(ServingStage::EnclaveInit);
         }
 
@@ -381,8 +325,7 @@ impl SemirtInstance {
                     // memory, copy it into the enclave, decrypt and
                     // deserialize it (MODEL_LOAD), replacing the previous
                     // model under the lock.
-                    let (encrypted, _) =
-                        self.model_fetcher.fetch_encrypted_model(&request.model)?;
+                    let encrypted = self.model_fetcher.fetch_encrypted_model(&request.model)?;
                     stages.push(ServingStage::ModelLoad);
                     let plaintext = decrypt_model(&request.model, &encrypted, &model_key)?;
                     stages.push(ServingStage::ModelDecrypt);
@@ -406,8 +349,7 @@ impl SemirtInstance {
 
         // --- Thread-local runtime (Algorithm 2, lines 14-15) ---------------
         let mut runtime_reused = false;
-        let input;
-        let output;
+        let serialized;
         {
             let mut slot = worker_slot.lock();
             let worker = match &mut *slot {
@@ -429,10 +371,11 @@ impl SemirtInstance {
             };
 
             // --- Request-dependent stages (Algorithm 2, lines 16-19) -------
-            input = request.decrypt(&request_key)?;
+            let input = request.decrypt(&request_key)?;
             stages.push(ServingStage::RequestDecrypt);
-            output = worker.runtime.model_exec(&model, &input)?;
+            let output = worker.runtime.model_exec(&model, &input)?;
             stages.push(ServingStage::ModelExec);
+            serialized = worker.runtime.prepare_output(&output);
 
             if self.config.strong_isolation {
                 // Clear the per-request state: runtime buffer and key cache.
@@ -440,15 +383,6 @@ impl SemirtInstance {
             }
         }
 
-        let serialized = {
-            // PREPARE_OUTPUT uses a framework-independent serialization.
-            let mut bytes = Vec::with_capacity(4 + output.len() * 4);
-            bytes.extend_from_slice(&(output.len() as u32).to_le_bytes());
-            for value in &output {
-                bytes.extend_from_slice(&value.to_le_bytes());
-            }
-            bytes
-        };
         let response = {
             let mut rng = self.rng.lock();
             InferenceResponse::encrypt(
@@ -493,60 +427,6 @@ impl SemirtInstance {
         ))
     }
 
-    /// Serves a batch of compatible requests on one worker, amortizing the
-    /// shared serving stages (key fetch, model load, runtime init) across the
-    /// batch: only the first item can pay them, the rest ride the caches the
-    /// first item filled.
-    ///
-    /// A batch is *refused* — [`RuntimeError::BatchRefused`], no item is
-    /// served — when it is empty, wider than the configured
-    /// [`SemirtConfig::batch_window`], mixes users or models, or when strong
-    /// isolation is enabled and the batch holds more than one request
-    /// (isolation never coalesces requests across trust boundaries, §V).
-    pub fn handle_batch(
-        &self,
-        worker_id: usize,
-        requests: &[InferenceRequest],
-    ) -> Result<Vec<(InferenceResponse, InvocationReport)>, RuntimeError> {
-        if requests.is_empty() {
-            return Err(RuntimeError::BatchRefused {
-                reason: "empty batch".to_string(),
-            });
-        }
-        if self.config.strong_isolation && requests.len() > 1 {
-            return Err(RuntimeError::BatchRefused {
-                reason: "strong isolation never coalesces requests".to_string(),
-            });
-        }
-        if requests.len() > self.config.batch_window {
-            return Err(RuntimeError::BatchRefused {
-                reason: format!(
-                    "batch of {} exceeds the configured window of {}",
-                    requests.len(),
-                    self.config.batch_window
-                ),
-            });
-        }
-        let head = &requests[0];
-        for request in &requests[1..] {
-            if request.user != head.user {
-                return Err(RuntimeError::BatchRefused {
-                    reason: "batch mixes users".to_string(),
-                });
-            }
-            if request.model != head.model {
-                return Err(RuntimeError::BatchRefused {
-                    reason: "batch mixes models".to_string(),
-                });
-            }
-        }
-        let mut results = Vec::with_capacity(requests.len());
-        for request in requests {
-            results.push(self.handle_request(worker_id, request)?);
-        }
-        Ok(results)
-    }
-
     /// `EC_CLEAR_EXEC_CTX`: releases the worker's thread-local runtime buffer
     /// (the untrusted dispatcher calls this when it retires a worker thread).
     /// An id at or above the TCS count has nothing to release.
@@ -559,100 +439,6 @@ impl SemirtInstance {
     /// Destroys the enclave; all subsequent requests fail.
     pub fn shutdown(&self) {
         self.enclave.destroy();
-    }
-}
-
-/// The untrusted dispatcher's batching window: accumulates queued requests
-/// that are *compatible* (same user, same model) and flushes a batch for
-/// [`SemirtInstance::handle_batch`] when the window fills, an incompatible
-/// request arrives, or the oldest queued request has waited
-/// [`SemirtConfig::batch_max_wait`].
-///
-/// The window itself lives outside the enclave — it only ever sees
-/// ciphertext plus the routing envelope (user, model) that the dispatcher
-/// needs anyway — so coalescing adds no new information flow.
-#[derive(Debug)]
-pub struct BatchWindow {
-    window: usize,
-    max_wait: SimDuration,
-    pending: Vec<InferenceRequest>,
-    opened_at: Option<SimTime>,
-}
-
-impl BatchWindow {
-    /// Creates a window sized from the instance configuration.
-    #[must_use]
-    pub fn new(config: &SemirtConfig) -> Self {
-        BatchWindow {
-            window: config.batch_window,
-            max_wait: config.batch_max_wait,
-            pending: Vec::new(),
-            opened_at: None,
-        }
-    }
-
-    /// Number of requests currently waiting in the window.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no request is waiting.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Offers a request to the window at time `now`.  Returns a flushed batch
-    /// when the offer forces one out: either the incoming request is
-    /// incompatible with the waiting batch (the old batch flushes and the new
-    /// request opens a fresh window), or accepting it fills the window.
-    pub fn offer(
-        &mut self,
-        now: SimTime,
-        request: InferenceRequest,
-    ) -> Option<Vec<InferenceRequest>> {
-        let incompatible = self
-            .pending
-            .first()
-            .is_some_and(|head| head.user != request.user || head.model != request.model);
-        if incompatible {
-            let flushed = self.flush();
-            self.pending.push(request);
-            self.opened_at = Some(now);
-            return flushed;
-        }
-        if self.pending.is_empty() {
-            self.opened_at = Some(now);
-        }
-        self.pending.push(request);
-        if self.pending.len() >= self.window {
-            return self.flush();
-        }
-        None
-    }
-
-    /// Flushes the window if the oldest queued request has waited `max_wait`
-    /// or longer by `now`.
-    pub fn flush_due(&mut self, now: SimTime) -> Option<Vec<InferenceRequest>> {
-        let due = self
-            .opened_at
-            .is_some_and(|opened| now.duration_since(opened) >= self.max_wait);
-        if due {
-            self.flush()
-        } else {
-            None
-        }
-    }
-
-    /// Unconditionally flushes whatever is waiting.
-    pub fn flush(&mut self) -> Option<Vec<InferenceRequest>> {
-        self.opened_at = None;
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut self.pending))
-        }
     }
 }
 
@@ -674,10 +460,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     /// A complete in-process deployment: KeyService enclave, one registered
-    /// owner and user, one encrypted scaled-down model in storage.  The
-    /// `verifier`/`keyservice` handles are held to keep the services alive
-    /// for the duration of a test even when it only exercises the provider.
-    #[allow(dead_code)]
+    /// owner and user, one encrypted scaled-down model in storage.
     struct World {
         platform: SgxPlatform,
         authority: Arc<AttestationAuthority>,
@@ -709,10 +492,8 @@ mod tests {
             &authority,
             CodeIdentity::new("keyservice", b"keyservice code".to_vec(), "1.0"),
             EnclaveConfig::new(64 * MB, 8),
-            1,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         let keyservice = Arc::new(KeyService::new(Arc::new(ks_enclave), verifier.clone()));
 
         // SeMIRT configuration and its published measurement.
@@ -804,11 +585,9 @@ mod tests {
             world.semirt_config.clone(),
             world.provider.clone() as Arc<dyn KeyProvider>,
             world.store.clone() as Arc<dyn ModelFetcher>,
-            1,
             42,
         )
         .unwrap()
-        .0
     }
 
     fn make_request(world: &World, seed: u64) -> InferenceRequest {
@@ -1113,11 +892,9 @@ mod tests {
             isolated_config,
             world.provider.clone() as Arc<dyn KeyProvider>,
             world.store.clone() as Arc<dyn ModelFetcher>,
-            1,
             43,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         let err = instance
             .handle_request(0, &make_request(&world, 1))
             .unwrap_err();
@@ -1187,12 +964,12 @@ mod tests {
                 .handle_request(worker, &make_request(&world, worker as u64))
                 .unwrap();
         }
-        let heap_with_four_workers = instance.enclave_heap_used();
+        let heap_with_four_workers = instance.enclave().heap_used();
         // One shared model + four runtime buffers; clearing a worker frees
         // its buffer but not the model.
         instance.clear_worker(3);
-        assert!(instance.enclave_heap_used() < heap_with_four_workers);
-        assert!(instance.enclave_heap_used() > 0);
+        assert!(instance.enclave().heap_used() < heap_with_four_workers);
+        assert!(instance.enclave().heap_used() > 0);
     }
 
     #[test]
@@ -1236,11 +1013,9 @@ mod tests {
             world.semirt_config.clone(),
             Arc::new(provider) as Arc<dyn KeyProvider>,
             world.store.clone() as Arc<dyn ModelFetcher>,
-            1,
             42,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         let parked_request = make_request_as(&world, parked, 1);
         let request = make_request(&world, 2);
         let (sender, receiver) = mpsc::channel();
@@ -1273,7 +1048,7 @@ mod tests {
         let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
         let instance = launch(&world);
         let tcs_count = world.semirt_config.tcs_count;
-        let heap = instance.enclave_heap_used();
+        let heap = instance.enclave().heap_used();
         let err = instance
             .handle_request(tcs_count, &make_request(&world, 1))
             .unwrap_err();
@@ -1285,7 +1060,7 @@ mod tests {
             }
         );
         assert_eq!(instance.stats(), InstanceStats::default());
-        assert_eq!(instance.enclave_heap_used(), heap);
+        assert_eq!(instance.enclave().heap_used(), heap);
         assert_eq!(instance.enclave().threads_inside(), 0);
         // Nothing to clear there either; the last worker still serves.
         instance.clear_worker(tcs_count);
@@ -1331,165 +1106,6 @@ mod tests {
             .handle_request(0, &make_request(&world, 2))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Enclave(_)));
-    }
-
-    #[test]
-    fn batch_of_compatible_requests_amortizes_shared_stages() {
-        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| {
-            c.with_batching(8, SimDuration::from_millis(5))
-        });
-        let instance = launch(&world);
-        let batch: Vec<InferenceRequest> = (0..4).map(|i| make_request(&world, i)).collect();
-        let results = instance.handle_batch(0, &batch).unwrap();
-        assert_eq!(results.len(), 4);
-        // Only the head of the batch pays the shared stages; every other item
-        // rides the caches it filled and runs hot.
-        assert_eq!(results[0].1.path, InvocationPath::Cold);
-        for (response, report) in &results[1..] {
-            assert_eq!(report.path, InvocationPath::Hot);
-            assert!(report.key_cache_hit && report.model_cache_hit && report.runtime_reused);
-            response.decrypt(&world.request_key).unwrap();
-        }
-        assert_eq!(instance.stats().total(), 4);
-    }
-
-    #[test]
-    fn strong_isolation_refuses_multi_request_batches() {
-        let world = build_world(
-            Framework::Tvm,
-            ModelKind::MbNet,
-            SemirtConfig::with_strong_isolation,
-        );
-        let instance = launch(&world);
-        let batch = vec![make_request(&world, 1), make_request(&world, 2)];
-        let err = instance.handle_batch(0, &batch).unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::BatchRefused { reason } if reason.contains("isolation")),
-            "unexpected error: {err}"
-        );
-        assert_eq!(
-            instance.stats().total(),
-            0,
-            "no item of a refused batch runs"
-        );
-        // A single-request "batch" is just sequential mode and is served.
-        let results = instance.handle_batch(0, &batch[..1]).unwrap();
-        assert_eq!(results.len(), 1);
-    }
-
-    #[test]
-    fn mixed_user_or_model_batches_are_refused() {
-        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| {
-            c.with_batching(8, SimDuration::ZERO)
-        });
-        let instance = launch(&world);
-        let mut rng = SessionRng::from_seed(77);
-        let features = vec![0.0f32; world.input_dim];
-
-        let other_user = PartyId::from_identity_key(&AeadKey::from_bytes([9u8; 16]));
-        let foreign = InferenceRequest::encrypt(
-            other_user,
-            world.model_id.clone(),
-            &features,
-            &world.request_key,
-            &mut rng,
-        );
-        let err = instance
-            .handle_batch(0, &[make_request(&world, 1), foreign])
-            .unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::BatchRefused { reason } if reason.contains("users")),
-            "unexpected error: {err}"
-        );
-
-        let other_model = InferenceRequest::encrypt(
-            world.user,
-            ModelId::new("some-other-model"),
-            &features,
-            &world.request_key,
-            &mut rng,
-        );
-        let err = instance
-            .handle_batch(0, &[make_request(&world, 1), other_model])
-            .unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::BatchRefused { reason } if reason.contains("models")),
-            "unexpected error: {err}"
-        );
-        assert_eq!(instance.stats().total(), 0);
-    }
-
-    #[test]
-    fn batch_wider_than_the_window_is_refused() {
-        // The default configuration has a window of 1: batching off.
-        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| c);
-        let instance = launch(&world);
-        let batch = vec![make_request(&world, 1), make_request(&world, 2)];
-        let err = instance.handle_batch(0, &batch).unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::BatchRefused { reason } if reason.contains("window")),
-            "unexpected error: {err}"
-        );
-        let err = instance.handle_batch(0, &[]).unwrap_err();
-        assert!(matches!(err, RuntimeError::BatchRefused { .. }));
-    }
-
-    #[test]
-    fn batching_window_is_part_of_the_measured_config() {
-        let base = SemirtConfig::new(Framework::Tvm, 256 * MB, 4);
-        let batching = base.clone().with_batching(8, SimDuration::from_millis(5));
-        assert_ne!(base.measurement(), batching.measurement());
-        // Same window, different max-wait: still a different image.
-        let patient = base.clone().with_batching(8, SimDuration::from_millis(50));
-        assert_ne!(batching.measurement(), patient.measurement());
-        // Strong isolation forces the window shut again.
-        let isolated = batching.with_strong_isolation();
-        assert_eq!(isolated.batch_window, 1);
-        assert_eq!(isolated.batch_max_wait, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn batch_window_coalesces_flushes_on_fill_incompatibility_and_max_wait() {
-        let world = build_world(Framework::Tvm, ModelKind::MbNet, |c| {
-            c.with_batching(3, SimDuration::from_millis(10))
-        });
-        let config = world.semirt_config.clone();
-        let mut window = BatchWindow::new(&config);
-        let t0 = SimTime::ZERO;
-
-        // Fill to the window cap: the third offer flushes all three.
-        assert!(window.offer(t0, make_request(&world, 1)).is_none());
-        assert!(window.offer(t0, make_request(&world, 2)).is_none());
-        let full = window.offer(t0, make_request(&world, 3)).unwrap();
-        assert_eq!(full.len(), 3);
-        assert!(window.is_empty());
-
-        // An incompatible request flushes the waiting batch and opens a new
-        // window for itself.
-        let mut rng = SessionRng::from_seed(5);
-        let features = vec![0.0f32; world.input_dim];
-        let other_user = PartyId::from_identity_key(&AeadKey::from_bytes([9u8; 16]));
-        let foreign = InferenceRequest::encrypt(
-            other_user,
-            world.model_id.clone(),
-            &features,
-            &world.request_key,
-            &mut rng,
-        );
-        assert!(window.offer(t0, make_request(&world, 4)).is_none());
-        let flushed = window.offer(t0, foreign).unwrap();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].user, world.user);
-        assert_eq!(window.len(), 1, "the foreign request opened a new window");
-
-        // Max-wait: not due before the deadline, due at it.
-        assert!(window.flush_due(t0 + SimDuration::from_millis(9)).is_none());
-        let timed_out = window.flush_due(t0 + SimDuration::from_millis(10)).unwrap();
-        assert_eq!(timed_out.len(), 1);
-        assert!(
-            window.flush().is_none(),
-            "empty window has nothing to flush"
-        );
     }
 
     #[test]

@@ -239,21 +239,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Maximum value over the series, or 0.0 if empty.
-    #[must_use]
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|(_, v)| *v).fold(0.0, f64::max)
-    }
-
-    /// Mean value over the series, or 0.0 if empty.
-    #[must_use]
-    pub fn mean_value(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|(_, v)| *v).sum::<f64>() / self.points.len() as f64
-    }
 }
 
 /// Integrates memory consumption over time to produce the GB·second cost
@@ -316,12 +301,6 @@ impl GbSecondMeter {
     #[must_use]
     pub fn finish(mut self, now: SimTime) -> f64 {
         self.integrate_to(now);
-        self.accumulated_gb_seconds
-    }
-
-    /// The GB·second integral accumulated so far (without finalizing).
-    #[must_use]
-    pub fn accumulated(&self) -> f64 {
         self.accumulated_gb_seconds
     }
 
@@ -449,8 +428,6 @@ mod tests {
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0], (SimTime::ZERO, 2.0));
         assert_eq!(windows[1], (SimTime::from_secs(4), 10.0));
-        assert_eq!(series.max_value(), 10.0);
-        assert!((series.mean_value() - 14.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

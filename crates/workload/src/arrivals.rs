@@ -58,7 +58,8 @@ pub struct RequestArrival {
 
 impl RequestArrival {
     /// An arrival with the default tier and no deadline — what every
-    /// generator produces; streams with SLOs decorate afterwards.
+    /// generator produces; a scenario whose stream carries an SLO sets the
+    /// public `tier` and `deadline` fields afterwards.
     #[must_use]
     pub fn new(at: SimTime, model: ModelId, user_index: usize) -> Self {
         RequestArrival {
@@ -68,20 +69,6 @@ impl RequestArrival {
             tier: Tier::default(),
             deadline: None,
         }
-    }
-
-    /// Sets the priority tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: Tier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Sets an absolute completion deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 }
 

@@ -69,12 +69,6 @@ impl InteractiveSession {
         }
     }
 
-    /// Whether all models in the session have been queried.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.next >= self.models.len()
-    }
-
     /// How many queries have completed so far.
     #[must_use]
     pub fn completed(&self) -> usize {
@@ -99,7 +93,6 @@ mod tests {
             session.advance();
         }
         assert_eq!(visited, vec!["m0", "m1", "m2", "m3", "m4"]);
-        assert!(session.is_finished());
         assert_eq!(session.completed(), 5);
         // Advancing past the end is a no-op.
         session.advance();

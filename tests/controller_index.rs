@@ -3,11 +3,12 @@
 //! The warm-candidate index and the per-node occupancy counters are pure
 //! derived state: after *every* lifecycle transition they must equal what a
 //! fresh scan over the sandbox map would compute.  This suite drives random
-//! op sequences (schedule / ready / finish / evict / drain / crash / kill /
+//! op sequences (dispatch / ready / finish / evict / drain / crash / kill /
 //! add / remove, across several actions and a changing node pool) through a
-//! controller and re-derives every indexed view from the public sandbox
-//! iterator after each op.  A divergence shrinks to a 1-minimal op sequence
-//! with the same greedy delta-debugging the scenario corpus uses.
+//! controller, calling the same entry points the cluster simulator calls,
+//! and re-derives every indexed view from the public sandbox iterator after
+//! each op.  A divergence shrinks to a 1-minimal op sequence with the same
+//! greedy delta-debugging the scenario corpus uses.
 
 #[path = "support/shrink.rs"]
 mod shrink;
@@ -26,15 +27,22 @@ const MB: u64 = 1024 * 1024;
 /// application time, so every op is applicable in every state.
 #[derive(Clone, Debug, PartialEq)]
 enum Op {
-    /// Schedule one invocation of the indexed action (saturation ignored);
+    /// Dispatch one invocation of the indexed action to the `pick`-th of
+    /// its options: its warm candidates (ascending id), then the nodes a new
+    /// container fits on (ascending id).  Nothing happens when it has none;
     /// `ready` marks a resulting cold start running immediately.
-    Schedule { action: usize, ready: bool },
+    Schedule {
+        action: usize,
+        pick: usize,
+        ready: bool,
+    },
     /// Mark the `pick`-th still-starting sandbox (ascending id) as running.
     Ready { pick: usize },
     /// Finish the `pick`-th tracked in-flight activation (stale entries —
     /// their sandbox crashed or was killed — are simply discarded).
     Finish { pick: usize },
-    /// Advance the clock by `advance_s` and run a keep-alive eviction pass.
+    /// Advance the clock by `advance_s` and reclaim every idle candidate
+    /// whose keep-alive expired or whose node is draining.
     Evict { advance_s: u64 },
     /// Drain the `node`-th node slot (errors on retired slots are ignored).
     Drain { node: usize },
@@ -55,6 +63,7 @@ fn decode_op(raw: u64) -> Op {
     match raw % 16 {
         0..=5 => Op::Schedule {
             action: payload,
+            pick: (raw >> 8) as usize,
             ready: raw & 0x10 != 0,
         },
         6 | 7 => Op::Finish { pick: payload },
@@ -106,16 +115,6 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
         if actual != expected {
             return Err(format!(
                 "warm_candidates_into({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {expected:?}"
-            ));
-        }
-        // MRU selection over the same membership.
-        let mru = expected
-            .iter()
-            .copied()
-            .max_by_key(|candidate| (candidate.last_used, candidate.sandbox));
-        if c.warm_candidate(action) != mru {
-            return Err(format!(
-                "warm_candidate({action:?}) diverged from the oracle MRU"
             ));
         }
         // Node snapshots: counters re-derived per sandbox.
@@ -198,9 +197,30 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
         for (step, op) in ops.iter().enumerate() {
             now += sesemi_sim::SimDuration::from_secs(1);
             match op {
-                Op::Schedule { action, ready } => {
+                Op::Schedule {
+                    action,
+                    pick,
+                    ready,
+                } => {
                     let name = &names[action % names.len()];
-                    if let Ok(outcome) = c.schedule(name, now) {
+                    let bytes = c.action(name).unwrap().memory_budget_bytes;
+                    let mut warm = Vec::new();
+                    c.warm_candidates_into(name, &mut warm);
+                    let mut snapshots = Vec::new();
+                    c.node_snapshots_into(name, &mut snapshots);
+                    let nodes: Vec<usize> = snapshots
+                        .iter()
+                        .filter(|snapshot| snapshot.fits(bytes))
+                        .map(|snapshot| snapshot.node)
+                        .collect();
+                    let options = warm.len() + nodes.len();
+                    if options > 0 {
+                        let choice = pick % options;
+                        let outcome = match warm.get(choice) {
+                            Some(candidate) => c.assign_warm(*candidate, now),
+                            None => c.schedule_on(name, nodes[choice - warm.len()], now),
+                        }
+                        .unwrap();
                         if outcome.is_cold_start() && *ready {
                             c.sandbox_ready(outcome.sandbox()).unwrap();
                         }
@@ -228,7 +248,13 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
                 }
                 Op::Evict { advance_s } => {
                     now += sesemi_sim::SimDuration::from_secs(*advance_s);
-                    c.evict_idle(now);
+                    let evicted: Vec<SandboxId> = c
+                        .idle_candidates(now)
+                        .into_iter()
+                        .filter(|candidate| candidate.expired || candidate.node_draining)
+                        .map(|candidate| candidate.sandbox)
+                        .collect();
+                    c.reclaim_sandboxes(&evicted).unwrap();
                 }
                 Op::Drain { node } => {
                     let _ = c.drain_node(node % c.node_count());
