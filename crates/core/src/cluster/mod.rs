@@ -80,7 +80,7 @@ use sesemi_platform::{
 use sesemi_runtime::{InvocationReport, ServingStage};
 use sesemi_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
-use state::{Event, Invocation, SandboxSimState, SimRequest};
+use state::{Event, Invocation, SandboxSimState, SimRequest, TraceBatch};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -252,6 +252,9 @@ pub struct ClusterSimulation {
     action_models: HashMap<ActionName, Vec<ModelId>>,
     sandbox_state: FxHashMap<SandboxId, SandboxSimState>,
     queue: EventQueue<Event>,
+    /// The open-loop trace, one batch per [`ClusterSimulation::add_arrivals`]
+    /// call, held beside `queue` rather than in it.
+    trace: Vec<TraceBatch>,
     /// Requests admitted but waiting for cluster capacity, with the action
     /// the router bound them to at admission.
     saturated: VecDeque<(ActionName, SimRequest)>,
@@ -397,6 +400,7 @@ impl ClusterSimulation {
             action_models,
             sandbox_state: FxHashMap::default(),
             queue: EventQueue::new(),
+            trace: Vec::new(),
             saturated: VecDeque::new(),
             saturated_action_counts: FxHashMap::default(),
             sessions: Vec::new(),
@@ -440,21 +444,25 @@ impl ClusterSimulation {
     }
 
     /// Adds a pre-generated open-loop arrival trace.
-    pub fn add_arrivals(&mut self, arrivals: Vec<RequestArrival>) {
-        for arrival in arrivals {
-            self.queue.push(
-                arrival.at,
-                Event::Arrival(SimRequest {
-                    model: arrival.model,
-                    user_index: arrival.user_index,
-                    submitted: arrival.at,
-                    session: None,
-                    tier: arrival.tier,
-                    deadline: arrival.deadline,
-                    cold_start: false,
-                }),
-            );
-        }
+    ///
+    /// The trace does not enter the event queue.  It is kept as one batch,
+    /// stable-sorted by time (a linear pass when it already is), under a
+    /// block of insertion sequence numbers reserved now, and [`run`]
+    /// delivers it beside the queue.  Each arrival is delivered exactly
+    /// where pushing it here would have put it: after every event added
+    /// before this call (faults, sessions, earlier batches) at the same
+    /// instant, and before every event added after it.  Failure injection's
+    /// `extract` calls never see the trace, and lose nothing by it: they
+    /// match fault, completion and readiness events only, never an arrival.
+    ///
+    /// [`run`]: ClusterSimulation::run
+    pub fn add_arrivals(&mut self, mut arrivals: Vec<RequestArrival>) {
+        arrivals.sort_by_key(|arrival| arrival.at);
+        let next_seq = self.queue.reserve(arrivals.len() as u64);
+        self.trace.push(TraceBatch {
+            next_seq,
+            arrivals: arrivals.into(),
+        });
     }
 
     /// Compiles a declarative [`FaultPlan`] into failure-injection events.
@@ -1759,9 +1767,40 @@ impl ClusterSimulation {
         self.record_cluster_state(now);
     }
 
+    /// The next event in delivery order: the queue's head or the earliest
+    /// trace batch's front arrival, whichever comes first by (time,
+    /// insertion sequence).
+    fn next_event(&mut self) -> Option<(SimTime, Event)> {
+        let front = self
+            .trace
+            .iter()
+            .enumerate()
+            .filter_map(|(index, batch)| Some((batch.arrivals.front()?.at, batch.next_seq, index)))
+            .min();
+        let Some((at, seq, index)) = front else {
+            return self.queue.pop();
+        };
+        if let Some(queued) = self.queue.pop_before(at, seq) {
+            return Some(queued);
+        }
+        let batch = &mut self.trace[index];
+        let arrival = batch.arrivals.pop_front().expect("the front seen above");
+        batch.next_seq += 1;
+        if batch.arrivals.is_empty() {
+            self.trace.swap_remove(index);
+        }
+        Some((at, Event::Arrival(SimRequest::from(arrival))))
+    }
+
     /// Runs the simulation until `horizon` (events after the horizon are
     /// still drained so every admitted request completes) and returns the
     /// aggregated results.
+    ///
+    /// Events are delivered by (time, insertion sequence), so events at the
+    /// same instant keep the order of the calls that added them.  The
+    /// open-loop trace is merged in from its batches as the run goes
+    /// (see [`ClusterSimulation::add_arrivals`]); the event queue holds only
+    /// the work scheduled so far, never the future trace.
     #[must_use]
     pub fn run(mut self, horizon: SimDuration) -> SimulationResult {
         let end = SimTime::ZERO + horizon;
@@ -1798,7 +1837,7 @@ impl ClusterSimulation {
                 )
         });
 
-        while let Some((now, event)) = self.queue.pop() {
+        while let Some((now, event)) = self.next_event() {
             self.ledger.events_processed += 1;
             match event {
                 Event::Arrival(request) => {
@@ -2515,6 +2554,118 @@ mod tests {
         assert_eq!(result.completed, admitted_expected);
         assert_eq!(result.dropped, 0);
         assert_eq!(result.check(), Ok(()));
+    }
+
+    /// The open-loop trace waits beside the event queue, not in it, and
+    /// still counts: every arrival is a processed event (with its
+    /// completion, two per request served), and an arrival past the
+    /// horizon is rejected.
+    #[test]
+    fn add_arrivals_keeps_the_trace_out_of_the_event_queue() {
+        let (model, profile) = profile(ModelKind::MbNet, Framework::Tvm);
+        let mut sim = ClusterSimulation::new(
+            ClusterConfig::single_node_sgx2(),
+            vec![(model.clone(), profile)],
+        );
+        let mut trace = poisson_trace(&model, 5.0, 20, 13);
+        let in_horizon = trace.len() as u64;
+        trace.push(RequestArrival::new(SimTime::from_secs(25), model, 0));
+        sim.add_arrivals(trace);
+        assert_eq!(sim.queue.len(), 0, "trace events in the queue");
+        let result = sim.run(SimDuration::from_secs(20));
+        assert_eq!(result.admitted, in_horizon);
+        assert_eq!(result.completed, in_horizon);
+        assert_eq!(result.rejected, 1, "the arrival past the horizon");
+        assert!(result.events_processed > 2 * in_horizon);
+        assert_eq!(result.check(), Ok(()));
+    }
+
+    /// A trace added as two batches, or as one unsorted batch, runs exactly
+    /// like its time-ordered merge, including the order of arrivals that
+    /// tie: two models on a 50 ms and a 75 ms grid meet every 150 ms.
+    #[test]
+    fn a_trace_in_two_batches_or_unsorted_runs_like_its_merge() {
+        let models = vec![
+            profile(ModelKind::MbNet, Framework::Tvm),
+            profile(ModelKind::RsNet, Framework::Tvm),
+        ];
+        let grid = |model: &ModelId, step_ms: u64, count: u64| -> Vec<RequestArrival> {
+            (1..=count)
+                .map(|i| RequestArrival::new(SimTime::from_millis(step_ms * i), model.clone(), 0))
+                .collect()
+        };
+        let first = grid(&models[0].0, 50, 200);
+        let second = grid(&models[1].0, 75, 130);
+        let run = |batches: Vec<Vec<RequestArrival>>| {
+            let config = ClusterConfig {
+                tcs_per_container: 1,
+                ..ClusterConfig::single_node_sgx2()
+            };
+            let mut sim = ClusterSimulation::new(config, models.clone());
+            for batch in batches {
+                sim.add_arrivals(batch);
+            }
+            sim.run(SimDuration::from_secs(15))
+        };
+        let merged = run(vec![ArrivalProcess::merge(vec![
+            first.clone(),
+            second.clone(),
+        ])]);
+        let unsorted = run(vec![first.iter().chain(&second).cloned().collect()]);
+        let split = run(vec![first, second]);
+        for (name, result) in [("unsorted", &unsorted), ("two batches", &split)] {
+            assert_eq!(
+                result.latency_series.points(),
+                merged.latency_series.points(),
+                "{name}"
+            );
+            assert_eq!(result.completed, merged.completed, "{name}");
+            assert_eq!(result.cold_starts, merged.cold_starts, "{name}");
+            assert_eq!(result.events_processed, merged.events_processed, "{name}");
+            assert_eq!(result.gb_seconds, merged.gb_seconds, "{name}");
+        }
+    }
+
+    /// An arrival and a fault at the same instant are delivered in the
+    /// order they were added.  With the crash first, node 1 is gone before
+    /// the arrival, which cold-starts on node 0.  With the trace first, the
+    /// arrival parks on a container cold-starting on node 1 (placement ties
+    /// go to the highest index), and the crash re-queues it.
+    #[test]
+    fn a_tied_arrival_and_fault_keep_the_order_they_were_added() {
+        let (model, profile) = profile(ModelKind::RsNet, Framework::Tvm);
+        let budget = sesemi_platform::PlatformConfig::round_memory_budget(
+            profile.enclave_bytes_for_concurrency(1),
+        );
+        let run = |faults_first: bool| {
+            let config = ClusterConfig {
+                nodes: 2,
+                tcs_per_container: 1,
+                invoker_memory_bytes: budget,
+                ..ClusterConfig::multi_node_sgx2()
+            };
+            let mut sim = ClusterSimulation::new(config, vec![(model.clone(), profile)]);
+            let trace = vec![RequestArrival::new(SimTime::from_secs(1), model.clone(), 0)];
+            let faults = FaultPlan::new().node_crash(SimTime::from_secs(1), 1);
+            if faults_first {
+                sim.add_fault_plan(&faults);
+                sim.add_arrivals(trace);
+            } else {
+                sim.add_arrivals(trace);
+                sim.add_fault_plan(&faults);
+            }
+            sim.run(SimDuration::from_secs(60))
+        };
+        for (faults_first, requeued) in [(true, 0), (false, 1)] {
+            let result = run(faults_first);
+            assert_eq!(result.node_crashes, 1);
+            assert_eq!(
+                result.requeued_waiting, requeued,
+                "faults added first: {faults_first}"
+            );
+            assert_eq!(result.completed, 1);
+            assert_eq!(result.check(), Ok(()));
+        }
     }
 
     /// Killing every container of a model forces fresh cold starts but

@@ -6,7 +6,7 @@ use sesemi_keyservice::PartyId;
 use sesemi_platform::{ActionName, SandboxId};
 use sesemi_runtime::InvocationPath;
 use sesemi_sim::{LatencyStats, SimDuration, SimTime, TimeSeries};
-use sesemi_workload::Tier;
+use sesemi_workload::{RequestArrival, Tier};
 use std::collections::{HashMap, VecDeque};
 
 /// One simulated request.
@@ -29,6 +29,30 @@ impl SimRequest {
     pub(super) fn at_or_before(&self, end: SimTime) -> bool {
         self.submitted <= end
     }
+}
+
+impl From<RequestArrival> for SimRequest {
+    /// An open-loop arrival, submitted at its arrival time.
+    fn from(arrival: RequestArrival) -> Self {
+        SimRequest {
+            model: arrival.model,
+            user_index: arrival.user_index,
+            submitted: arrival.at,
+            session: None,
+            tier: arrival.tier,
+            deadline: arrival.deadline,
+            cold_start: false,
+        }
+    }
+}
+
+/// One `add_arrivals` batch of the open-loop trace, held beside the event
+/// queue: its arrivals not yet delivered, in time order, under consecutive
+/// reserved insertion sequence numbers.
+pub(super) struct TraceBatch {
+    /// The sequence number of the front arrival.
+    pub(super) next_seq: u64,
+    pub(super) arrivals: VecDeque<RequestArrival>,
 }
 
 /// One invocation in flight on a sandbox slot, from dispatch to completion.

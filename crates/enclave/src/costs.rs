@@ -19,9 +19,9 @@
 //!   quote generation + verification on both sides plus channel setup.  The
 //!   simulator prices the whole stage from `sesemi_inference`'s
 //!   `StageCosts::key_fetch`, not from this model.
-//! * **EPC paging**: the multiplicative pressure factor of
-//!   [`crate::epc::EpcManager`] scales memory-bound stages when the committed
-//!   enclave memory exceeds the physical EPC (Fig. 11b).
+//! * **EPC paging** (Fig. 11b) is not priced here.  The cluster simulator
+//!   scales memory-bound stages by its own overcommit factor once a node's
+//!   committed enclave memory exceeds the physical EPC.
 
 use crate::attest::AttestationScheme;
 use crate::platform::SgxVersion;

@@ -6,9 +6,10 @@
 //! on SGX2 it is 64 GB and ceases to be the bottleneck (§VI-B: "the
 //! performance bottleneck has shifted from memory to CPU").
 //!
-//! [`EpcManager`] tracks committed bytes and exposes a *pressure factor* that
-//! the cost model multiplies into enclave-bound operations when the committed
-//! total exceeds the physical EPC.
+//! [`EpcManager`] tracks the bytes the enclaves on one node commit and
+//! refuses a reservation past four times the physical EPC.  It does not
+//! price paging: the cluster simulator slows memory-bound stages from its
+//! own per-node commitment once that exceeds the EPC.
 
 use crate::error::EnclaveError;
 use parking_lot::Mutex;
@@ -63,37 +64,6 @@ impl EpcManager {
             manager: self,
             bytes,
         })
-    }
-
-    /// The multiplicative slowdown applied to enclave memory operations at
-    /// the current commitment level.
-    ///
-    /// Below capacity the factor is 1.0.  Beyond capacity it grows linearly
-    /// with the overcommit ratio, reaching ~3x at 2x overcommit, which
-    /// reproduces the latency blow-up of Fig. 11b once the working set
-    /// exceeds the 128 MB SGX1 EPC.
-    #[must_use]
-    pub fn pressure_factor(&self) -> f64 {
-        let used = self.used_bytes() as f64;
-        let capacity = self.capacity as f64;
-        if capacity <= 0.0 || used <= capacity {
-            1.0
-        } else {
-            1.0 + 2.0 * (used - capacity) / capacity
-        }
-    }
-
-    /// Pressure factor if an additional `bytes` were committed; used by cost
-    /// models to price an allocation before performing it.
-    #[must_use]
-    pub fn pressure_factor_with(&self, bytes: u64) -> f64 {
-        let used = (self.used_bytes() + bytes) as f64;
-        let capacity = self.capacity as f64;
-        if capacity <= 0.0 || used <= capacity {
-            1.0
-        } else {
-            1.0 + 2.0 * (used - capacity) / capacity
-        }
     }
 
     fn release(&self, bytes: u64) {
@@ -180,28 +150,9 @@ mod tests {
     fn overcommit_is_allowed_up_to_hard_limit() {
         let epc = EpcManager::new(128 * MB);
         let _a = epc.reserve(300 * MB).unwrap(); // beyond capacity but below 4x
-        assert!(epc.pressure_factor() > 1.0);
+        assert!(epc.used_bytes() > epc.capacity_bytes());
         let err = epc.reserve(300 * MB).unwrap_err();
         assert!(matches!(err, EnclaveError::EpcExhausted { .. }));
-    }
-
-    #[test]
-    fn pressure_factor_is_one_below_capacity_and_grows_beyond() {
-        let epc = EpcManager::new(100 * MB);
-        let _r1 = epc.reserve(80 * MB).unwrap();
-        assert_eq!(epc.pressure_factor(), 1.0);
-        let _r2 = epc.reserve(120 * MB).unwrap();
-        // 200 MB on a 100 MB EPC -> factor 1 + 2*(100/100) = 3.
-        assert!((epc.pressure_factor() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prospective_pressure_factor_matches_actual() {
-        let epc = EpcManager::new(100 * MB);
-        let _r = epc.reserve(90 * MB).unwrap();
-        let predicted = epc.pressure_factor_with(60 * MB);
-        let _r2 = epc.reserve(60 * MB).unwrap();
-        assert!((epc.pressure_factor() - predicted).abs() < 1e-9);
     }
 
     #[test]
@@ -212,16 +163,6 @@ mod tests {
         assert_eq!(r.bytes(), 4 * MB);
         drop(r);
         assert_eq!(epc.used_bytes(), 0);
-    }
-
-    #[test]
-    fn sgx2_sized_epc_never_feels_pressure_from_models() {
-        // Three RSNET-sized enclaves (560 MB each) on a 64 GB EPC.
-        let epc = EpcManager::new(64 * 1024 * MB);
-        let _a = epc.reserve(560 * MB).unwrap();
-        let _b = epc.reserve(560 * MB).unwrap();
-        let _c = epc.reserve(560 * MB).unwrap();
-        assert_eq!(epc.pressure_factor(), 1.0);
     }
 
     proptest! {

@@ -6,6 +6,16 @@
 //! internals.  The heap moves only its 24-byte keys as it sifts; each event
 //! stays in its slab slot from `push` to delivery, and a delivered event's
 //! slot is reused by the next `push`.
+//!
+//! Events known in advance and already in time order, such as an open-loop
+//! arrival trace, need not enter the heap at all.  The caller takes a block
+//! of sequence numbers for them with [`EventQueue::reserve`], keeps them in
+//! its own list, and delivers each one through [`EventQueue::pop_before`],
+//! which hands back every queued event that precedes it by (time,
+//! sequence) first.  The delivery order is then the one pushing them would
+//! have given, while the heap holds only the events scheduled as the run
+//! goes.  [`EventQueue::len`] and [`EventQueue::extract`] see queued events
+//! only, never the caller's list.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -121,13 +131,51 @@ impl<E> EventQueue<E> {
         Some(self.take(key))
     }
 
+    /// Reserves `count` consecutive insertion sequence numbers for events
+    /// the caller keeps outside the queue and returns the first of them.
+    /// Each one orders against queued events as a `push` made now would:
+    /// after every event pushed before this call, before every event pushed
+    /// after it.  Deliver the reserved events with
+    /// [`EventQueue::pop_before`].
+    pub fn reserve(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
+    }
+
+    /// Delivery step for an event held outside the queue at time `at` under
+    /// the reserved sequence number `seq`.  If the queued head precedes it
+    /// by (time, sequence), pops and returns the head, advancing the clock
+    /// to its timestamp; call again until this returns `None`.  Otherwise
+    /// leaves the queue untouched, advances the clock to `at` (the caller
+    /// now delivers its event) and returns `None`.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current simulation time.
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        match self.heap.peek() {
+            Some(head) if (head.at, head.seq) < (at, seq) => self.pop(),
+            _ => {
+                assert!(
+                    at >= self.now,
+                    "cannot deliver an event in the past (now={:?}, at={:?})",
+                    self.now,
+                    at
+                );
+                self.now = at;
+                None
+            }
+        }
+    }
+
     /// Timestamp of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|key| key.at)
     }
 
-    /// Current simulation time (timestamp of the last popped event).
+    /// Current simulation time (timestamp of the last event delivered by
+    /// [`EventQueue::pop`] or [`EventQueue::pop_before`]).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
@@ -157,13 +205,14 @@ impl<E> EventQueue<E> {
         extracted.into_iter().map(|key| self.take(key)).collect()
     }
 
-    /// Number of pending events.
+    /// Number of queued events (events held outside the queue under
+    /// [`EventQueue::reserve`]d sequence numbers are not counted).
     #[must_use]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -331,14 +380,14 @@ mod tests {
         #[test]
         fn queue_matches_a_sorted_vec_model(draws in proptest::collection::vec(0u64..u64::MAX, 1..300)) {
             // Random interleavings of push (in bursts at one instant, half
-            // of them at the current instant, so ties are common), pop and
-            // extract.  Pops and extractions free slab slots that later
-            // pushes reuse.
+            // of them at the current instant, so ties are common), pop,
+            // extract and the delivery of a batch held outside the queue.
+            // Pops and extractions free slab slots that later pushes reuse.
             let mut q = EventQueue::new();
             let mut model = Reference::default();
             let mut next_event = 0u32;
             for (step, raw) in draws.into_iter().enumerate() {
-                match raw % 8 {
+                match raw % 9 {
                     0..=3 => {
                         // 1–3 events at one instant 0, 1 or 3 ms ahead.
                         let ahead = [0, 0, 0, 1, 1, 3][((raw >> 3) % 6) as usize];
@@ -353,13 +402,55 @@ mod tests {
                         let (popped, expected) = (q.pop(), model.pop());
                         prop_assert!(popped == expected, "step {step}: popped {popped:?}, model {expected:?}");
                     }
-                    _ => {
+                    7 => {
                         let extracted = q.extract(predicate(raw >> 3, q.now()));
                         let expected = model.extract(predicate(raw >> 3, model.now));
                         prop_assert!(
                             extracted == expected,
                             "step {step}: extracted {extracted:?}, model {expected:?}"
                         );
+                    }
+                    _ => {
+                        // A sorted batch of 1–4 events 0, 1 or 3 ms ahead,
+                        // held outside the queue under reserved sequence
+                        // numbers and delivered through `pop_before`; the
+                        // model pushes it.  After some deliveries a
+                        // follow-up is pushed at the delivered instant, so
+                        // it ties with the rest of the batch and must come
+                        // after it.
+                        let mut batch: Vec<(SimTime, u32)> = (0..1 + (raw >> 4) % 4)
+                            .map(|i| {
+                                let ahead = [0, 0, 1, 3][((raw >> (6 + 2 * i)) % 4) as usize];
+                                (q.now() + SimDuration::from_millis(ahead), next_event + i as u32)
+                            })
+                            .collect();
+                        batch.sort_by_key(|&(at, _)| at);
+                        next_event += batch.len() as u32;
+                        let first_seq = q.reserve(batch.len() as u64);
+                        for &(at, event) in &batch {
+                            model.push(at, event);
+                        }
+                        for (offset, &(at, event)) in batch.iter().enumerate() {
+                            while let Some(popped) = q.pop_before(at, first_seq + offset as u64) {
+                                let expected = model.pop();
+                                prop_assert!(
+                                    Some(popped) == expected,
+                                    "step {step}: popped {popped:?} before the batch, model {expected:?}"
+                                );
+                            }
+                            let expected = model.pop();
+                            prop_assert!(
+                                Some((at, event)) == expected,
+                                "step {step}: delivered {:?} from the batch, model {expected:?}",
+                                (at, event)
+                            );
+                            prop_assert!(q.now() == at, "step {step}: now after a batch delivery");
+                            if (raw >> (16 + offset)) & 1 == 1 {
+                                q.push(at, next_event);
+                                model.push(at, next_event);
+                                next_event += 1;
+                            }
+                        }
                     }
                 }
                 prop_assert!(q.len() == model.pending.len(), "step {step}: len");
