@@ -350,7 +350,7 @@ fn bench_schedule_dispatch(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("warm_cycles_512_noise", noise),
             &noise,
-            |b, _| b.iter(|| sesemi_bench::micro::run_dispatch_cycles(&mut controller, &hot, 512)),
+            |b, _| b.iter(|| sesemi_bench::micro::run_dispatch_cycles(&mut controller, hot, 512)),
         );
     }
     group.finish();

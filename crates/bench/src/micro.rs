@@ -11,7 +11,9 @@ use sesemi_enclave::attest::AttestationScheme;
 use sesemi_enclave::costs::verification_latency;
 use sesemi_enclave::{EnclaveCostModel, SgxVersion};
 use sesemi_inference::{Framework, ModelId, ModelKind, ModelProfile};
-use sesemi_platform::{default_placement, ActionName, ActionSpec, Controller, PlatformConfig};
+use sesemi_platform::{
+    default_placement, ActionId, ActionName, ActionSpec, Controller, PlatformConfig,
+};
 use sesemi_sim::{SimDuration, SimTime};
 
 const MB: u64 = 1024 * 1024;
@@ -400,7 +402,7 @@ pub fn table5_config() -> Report {
 /// the incremental warm-candidate index makes irrelevant — pre-index, every
 /// dispatch paid a scan proportional to it.
 #[must_use]
-pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionName) {
+pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionId) {
     let nodes = 8;
     let per_node_bytes = (noise_actions as u64 / nodes as u64 + 2) * 128 * MB;
     let mut controller = Controller::new(
@@ -409,20 +411,19 @@ pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionNam
     );
     let mut snapshots = Vec::new();
     let mut park_warm = |controller: &mut Controller, spec: ActionSpec| {
-        let name = spec.name.clone();
         let bytes = spec.memory_budget_bytes;
-        controller.register_action(spec).expect("fresh action name");
-        controller.node_snapshots_into(&name, &mut snapshots);
+        let action = controller.register_action(spec).expect("fresh action name");
+        controller.node_snapshots_into(action, &mut snapshots);
         let node = default_placement(bytes, &snapshots)
             .expect("the bench cluster has room for every parked container");
         let outcome = controller
-            .schedule_on(&name, node, SimTime::ZERO)
+            .schedule_on(action, node, SimTime::ZERO)
             .expect("the chosen node fits the container");
         controller.sandbox_ready(outcome.sandbox()).expect("exists");
         controller
             .invocation_finished(outcome.sandbox(), SimTime::ZERO)
             .expect("assigned at schedule time");
-        name
+        action
     };
     for index in 0..noise_actions {
         park_warm(
@@ -448,9 +449,9 @@ pub fn dispatch_bench_controller(noise_actions: usize) -> (Controller, ActionNam
 /// event loop.  Every cycle returns the controller to its starting state,
 /// so repeated calls measure identical work.  Returns the cycle count so
 /// callers (criterion) keep the loop observable.
-pub fn run_dispatch_cycles(controller: &mut Controller, hot: &ActionName, cycles: u64) -> u64 {
+pub fn run_dispatch_cycles(controller: &mut Controller, hot: ActionId, cycles: u64) -> u64 {
     let mut scheduler = LeastLoadedScheduler;
-    let model = ModelId::new(hot.as_str());
+    let model = ModelId::new(controller.action(hot).name.as_str());
     let mut candidates = Vec::new();
     let mut now = SimTime::ZERO;
     let mut completed = 0;

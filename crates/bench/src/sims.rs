@@ -1180,6 +1180,12 @@ pub struct BenchRun {
     pub p99_latency: SimDuration,
     /// Cluster memory integral in GB·seconds.
     pub gb_seconds: f64,
+    /// Incremental index-maintenance operations the platform controller
+    /// performed over the run.
+    pub index_ops: u64,
+    /// Sandbox records the controller's scheduling views examined over the
+    /// run.
+    pub view_sandboxes_scanned: u64,
     /// Wall-clock seconds spent generating the arrival trace.
     pub generate_seconds: f64,
     /// Wall-clock seconds spent constructing and running the simulation.
@@ -1236,14 +1242,28 @@ impl BenchRun {
         )
     }
 
+    /// The controller's work counters over the run: deterministic per
+    /// seed like [`BenchRun::deterministic_json`], but a measure of how much
+    /// work the engine did rather than of what it simulated, so a change
+    /// that makes the engine cheaper may move them where it may not move
+    /// the outcome.
+    #[must_use]
+    pub fn work_json(&self) -> String {
+        format!(
+            "{{\n  \"index_ops\": {},\n  \"view_sandboxes_scanned\": {}\n}}",
+            self.index_ops, self.view_sandboxes_scanned,
+        )
+    }
+
     /// One provisioning regime's section of the bench document: the
-    /// deterministic slice plus the per-phase wall-clock breakdown,
-    /// throughput figures and the peak-RSS proxy.
+    /// deterministic slice, the work counters, the per-phase wall-clock
+    /// breakdown, throughput figures and the peak-RSS proxy.
     #[must_use]
     pub fn section_json(&self) -> String {
         let deterministic = indent_block(&self.deterministic_json(), "  ");
+        let work = indent_block(&self.work_json(), "  ");
         format!(
-            "{{\n  \"deterministic\": {deterministic},\n  \
+            "{{\n  \"deterministic\": {deterministic},\n  \"work\": {work},\n  \
              \"timing\": {{\n    \"generate_seconds\": {:.6},\n    \
              \"simulate_seconds\": {:.6},\n    \"report_seconds\": {:.6},\n    \
              \"total_seconds\": {:.6}\n  }},\n  \"throughput\": {{\n    \
@@ -1416,6 +1436,8 @@ fn timed_bench_run(
         p95_latency,
         p99_latency,
         gb_seconds: result.gb_seconds,
+        index_ops: result.index_ops,
+        view_sandboxes_scanned: result.view_sandboxes_scanned,
         generate_seconds,
         simulate_seconds,
         report_seconds,

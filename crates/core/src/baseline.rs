@@ -22,20 +22,35 @@ use sesemi_runtime::ServingStage;
 
 /// What a (warm) sandbox currently holds, from the point of view of one
 /// arriving request.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SandboxWarmth {
+///
+/// Models are named by `M`: a [`ModelId`] by default, or any other key that
+/// tells models apart, such as the cluster simulator's dense model index.
+/// A strategy only compares models, so the key type changes nothing else.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SandboxWarmth<M = ModelId> {
     /// The enclave has been created and initialized.
     pub enclave_ready: bool,
     /// The keys cached inside the enclave, if any (user, model).
-    pub cached_keys: Option<(PartyId, ModelId)>,
+    pub cached_keys: Option<(PartyId, M)>,
     /// The decrypted model currently loaded in the enclave, if any.
-    pub loaded_model: Option<ModelId>,
+    pub loaded_model: Option<M>,
     /// Whether the execution slot assigned to this request already has a
     /// model runtime initialized for the target model.
     pub slot_runtime_ready: bool,
 }
 
-impl SandboxWarmth {
+impl<M> Default for SandboxWarmth<M> {
+    fn default() -> Self {
+        SandboxWarmth {
+            enclave_ready: false,
+            cached_keys: None,
+            loaded_model: None,
+            slot_runtime_ready: false,
+        }
+    }
+}
+
+impl<M: Clone> SandboxWarmth<M> {
     /// A brand-new sandbox: nothing is ready.
     #[must_use]
     pub fn cold() -> Self {
@@ -44,7 +59,7 @@ impl SandboxWarmth {
 
     /// A fully hot sandbox for `(user, model)`.
     #[must_use]
-    pub fn hot(user: PartyId, model: ModelId) -> Self {
+    pub fn hot(user: PartyId, model: M) -> Self {
         SandboxWarmth {
             enclave_ready: true,
             cached_keys: Some((user, model.clone())),
@@ -89,12 +104,18 @@ impl ServingStrategy {
     /// Which stages an invocation must execute, given what the sandbox
     /// already holds.
     #[must_use]
-    pub fn stages_for(
+    pub fn stages_for<M: PartialEq>(
         self,
-        warmth: &SandboxWarmth,
+        warmth: &SandboxWarmth<M>,
         user: PartyId,
-        model: &ModelId,
+        model: &M,
     ) -> Vec<ServingStage> {
+        let keys_cached = warmth
+            .cached_keys
+            .as_ref()
+            .is_some_and(|(cached_user, cached_model)| {
+                *cached_user == user && cached_model == model
+            });
         let mut stages = Vec::with_capacity(8);
         let request_stages = [
             ServingStage::RequestDecrypt,
@@ -128,7 +149,7 @@ impl ServingStrategy {
                 if !warmth.enclave_ready {
                     stages.push(ServingStage::EnclaveInit);
                 }
-                if warmth.cached_keys.as_ref() != Some(&(user, model.clone())) {
+                if !keys_cached {
                     stages.push(ServingStage::KeyFetch);
                 }
                 // Iso-reuse never keeps the model or runtime.
@@ -143,7 +164,7 @@ impl ServingStrategy {
                 if !warmth.enclave_ready {
                     stages.push(ServingStage::EnclaveInit);
                 }
-                if warmth.cached_keys.as_ref() != Some(&(user, model.clone())) {
+                if !keys_cached {
                     stages.push(ServingStage::KeyFetch);
                 }
                 if warmth.loaded_model.as_ref() != Some(model) {

@@ -74,14 +74,15 @@ use sesemi_fnpacker::{FnPool, Router, RoutingStrategy};
 use sesemi_inference::{ModelId, ModelProfile};
 use sesemi_keyservice::PartyId;
 use sesemi_platform::{
-    metering::Metering, ActionName, ActionSpec, ActivationId, ActivationRecord, Controller,
-    PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
+    metering::Metering, ActionId, ActionName, ActionSpec, ActivationId, ActivationRecord,
+    Controller, PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
 };
 use sesemi_runtime::{InvocationReport, ServingStage};
 use sesemi_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
-use state::{Event, Invocation, SandboxSimState, SimRequest, TraceBatch};
-use std::collections::HashMap;
+use state::{
+    Event, IndexedLedger, Invocation, ModelIndex, SandboxSimState, SimRequest, TraceBatch,
+};
 use std::collections::VecDeque;
 
 const MB: u64 = 1024 * 1024;
@@ -240,16 +241,27 @@ impl ClusterConfig {
 }
 
 /// The cluster simulator.
+///
+/// Its per-request path names models and actions by dense ids: the index
+/// `new` numbers each model with, and the controller's [`ActionId`].  Names
+/// are resolved once, where they enter: an arrival's model when it is
+/// delivered, the router's endpoint once per arrival.
 pub struct ClusterSimulation {
     config: ClusterConfig,
     cost_model: EnclaveCostModel,
-    profiles: FxHashMap<ModelId, ModelProfile>,
+    /// The registered models, indexed by [`ModelIndex`].
+    models: Vec<ModelId>,
+    /// The naming edge: each registered model's index.
+    model_indices: FxHashMap<ModelId, ModelIndex>,
+    /// Each model's calibrated costs, indexed by [`ModelIndex`].
+    profiles: Vec<ModelProfile>,
     router: Box<dyn Router>,
     scheduler: Box<dyn Scheduler>,
     lifecycle: Box<dyn LifecyclePolicy>,
     admission: Box<dyn AdmissionPolicy>,
     controller: Controller,
-    action_models: HashMap<ActionName, Vec<ModelId>>,
+    /// The models each action serves, indexed by [`ActionId`].
+    action_models: Vec<Vec<ModelIndex>>,
     sandbox_state: FxHashMap<SandboxId, SandboxSimState>,
     queue: EventQueue<Event>,
     /// The open-loop trace, one batch per [`ClusterSimulation::add_arrivals`]
@@ -257,13 +269,13 @@ pub struct ClusterSimulation {
     trace: Vec<TraceBatch>,
     /// Requests admitted but waiting for cluster capacity, with the action
     /// the router bound them to at admission.
-    saturated: VecDeque<(ActionName, SimRequest)>,
-    /// Per-action entry counts over `saturated`, maintained at every queue
-    /// mutation (entries are removed at zero).  [`retry_saturated`]'s
+    saturated: VecDeque<(ActionId, SimRequest)>,
+    /// Per-action entry counts over `saturated`, indexed by [`ActionId`]
+    /// and maintained at every queue mutation.  [`retry_saturated`]'s
     /// short-circuit reads them to learn how many queued requests a newly
     /// unplaceable action strands in O(1), instead of re-walking the
     /// (possibly thousands deep) queue once per failed action per pass.
-    saturated_action_counts: FxHashMap<ActionName, usize>,
+    saturated_action_counts: Vec<usize>,
     sessions: Vec<InteractiveSession>,
     users: Vec<PartyId>,
     node_active_exec: Vec<usize>,
@@ -283,8 +295,8 @@ pub struct ClusterSimulation {
     autoscaler: Option<Autoscaler>,
     /// Scratch buffers reused across hot-path calls so per-event work stays
     /// allocation-free once the buffers reach steady-state capacity.
-    retry_kept: VecDeque<(ActionName, SimRequest)>,
-    retry_failed_actions: Vec<ActionName>,
+    retry_kept: VecDeque<(ActionId, SimRequest)>,
+    retry_failed_actions: Vec<ActionId>,
     admission_queued_scratch: Vec<QueuedRequest>,
     warm_candidates_scratch: Vec<sesemi_platform::WarmCandidate>,
     node_snapshots_scratch: Vec<sesemi_platform::NodeSnapshot>,
@@ -295,6 +307,9 @@ pub struct ClusterSimulation {
     /// The run's counters, updated in place as events fire; `run()` fills
     /// in the end-of-run figures and returns it.
     ledger: SimulationResult,
+    /// The ledger's per-model and per-path counters, folded into `ledger`
+    /// when the run ends.
+    indexed_ledger: IndexedLedger,
 }
 
 impl ClusterSimulation {
@@ -326,34 +341,50 @@ impl ClusterSimulation {
             config.nodes.max(2),
         );
         let router = config.routing.build(&pool);
-        let mut action_models: HashMap<ActionName, Vec<ModelId>> = HashMap::new();
-        match config.routing {
-            RoutingStrategy::OneToOne => {
-                // Each model's endpoint serves only that model, sized for it.
-                for (model, profile) in &models {
-                    let action = ActionName::new(format!("pool-{model}"));
-                    let spec = ActionSpec::build(
-                        action.clone(),
-                        "sesemi/semirt".to_string(),
+        // Number the models once: every per-model table below is indexed by
+        // the model's position in `models`.  A name listed twice resolves to
+        // its last entry, as collecting them into a map did.
+        let (model_ids, profiles): (Vec<ModelId>, Vec<ModelProfile>) = models.into_iter().unzip();
+        let model_indices: FxHashMap<ModelId, ModelIndex> = model_ids
+            .iter()
+            .enumerate()
+            .map(|(index, model)| (model.clone(), index))
+            .collect();
+        let endpoints: Vec<(ActionName, u64, Vec<ModelIndex>)> = match config.routing {
+            // Each model's endpoint serves only that model, sized for it.
+            RoutingStrategy::OneToOne => model_ids
+                .iter()
+                .zip(&profiles)
+                .enumerate()
+                .map(|(index, (model, profile))| {
+                    (
+                        ActionName::new(format!("pool-{model}")),
                         profile.enclave_bytes_for_concurrency(config.tcs_per_container),
-                        config.tcs_per_container,
-                    );
-                    controller.register_action(spec).expect("fresh action");
-                    action_models.insert(action, vec![model.clone()]);
-                }
+                        vec![index],
+                    )
+                })
+                .collect(),
+            RoutingStrategy::AllInOne | RoutingStrategy::FnPacker => router
+                .endpoints()
+                .into_iter()
+                .map(|action| (action, max_enclave_bytes, (0..model_ids.len()).collect()))
+                .collect(),
+        };
+        let mut action_models: Vec<Vec<ModelIndex>> = Vec::new();
+        let mut max_action_budget = 0;
+        for (action, enclave_bytes, served) in endpoints {
+            let spec = ActionSpec::build(
+                action,
+                "sesemi/semirt".to_string(),
+                enclave_bytes,
+                config.tcs_per_container,
+            );
+            max_action_budget = max_action_budget.max(spec.memory_budget_bytes);
+            let id = controller.register_action(spec).expect("fresh action");
+            if action_models.len() <= id.index() {
+                action_models.resize_with(id.index() + 1, Vec::new);
             }
-            RoutingStrategy::AllInOne | RoutingStrategy::FnPacker => {
-                for action in router.endpoints() {
-                    let spec = ActionSpec::build(
-                        action.clone(),
-                        "sesemi/semirt".to_string(),
-                        max_enclave_bytes,
-                        config.tcs_per_container,
-                    );
-                    controller.register_action(spec).expect("fresh action");
-                    action_models.insert(action, models.iter().map(|(m, _)| m.clone()).collect());
-                }
-            }
+            action_models[id.index()] = served;
         }
 
         let nodes = config.nodes;
@@ -367,19 +398,8 @@ impl ClusterSimulation {
         // committed memory is dominated by keep-alive warm pools and says
         // nothing about load.  Admission policies read the same yardstick to
         // estimate queueing delay, so it is computed for every run.
-        let slots_per_node = {
-            let max_action_budget = action_models
-                .keys()
-                .map(|action| {
-                    controller
-                        .action(action)
-                        .expect("registered above")
-                        .memory_budget_bytes
-                })
-                .max()
-                .expect("at least one action");
-            (config.invoker_memory_bytes / max_action_budget) as usize * config.tcs_per_container
-        };
+        let slots_per_node =
+            (config.invoker_memory_bytes / max_action_budget) as usize * config.tcs_per_container;
         let autoscaler = config.autoscale.clone().map(|autoscale| {
             assert!(
                 autoscale.min_nodes <= nodes && nodes <= autoscale.max_nodes,
@@ -389,9 +409,13 @@ impl ClusterSimulation {
             );
             Autoscaler::new(autoscale)
         });
+        let action_count = action_models.len();
         ClusterSimulation {
             cost_model,
-            profiles: models.into_iter().collect(),
+            indexed_ledger: IndexedLedger::new(model_ids.len()),
+            models: model_ids,
+            model_indices,
+            profiles,
             router,
             scheduler,
             lifecycle,
@@ -402,7 +426,7 @@ impl ClusterSimulation {
             queue: EventQueue::new(),
             trace: Vec::new(),
             saturated: VecDeque::new(),
-            saturated_action_counts: FxHashMap::default(),
+            saturated_action_counts: vec![0; action_count],
             sessions: Vec::new(),
             users: Vec::new(),
             node_active_exec: vec![0; nodes],
@@ -428,6 +452,19 @@ impl ClusterSimulation {
             },
             config,
         }
+    }
+
+    /// The index `new` numbered `model` with, looked up in
+    /// `model_indices`: the naming edge for traces, sessions and
+    /// prewarming.  An associated function so a caller can borrow other
+    /// fields across the lookup.
+    ///
+    /// # Panics
+    /// Panics if `model` was not registered with the simulation.
+    fn model_index(indices: &FxHashMap<ModelId, ModelIndex>, model: &ModelId) -> ModelIndex {
+        *indices
+            .get(model)
+            .unwrap_or_else(|| panic!("model {model} is not registered with the simulation"))
     }
 
     fn user(&mut self, index: usize) -> PartyId {
@@ -497,10 +534,12 @@ impl ClusterSimulation {
     pub fn add_session(&mut self, session: InteractiveSession) {
         let index = self.sessions.len();
         let start = session.start;
-        let first_model = session
-            .next_model()
-            .cloned()
-            .expect("sessions have at least one model");
+        let first_model = Self::model_index(
+            &self.model_indices,
+            session
+                .next_model()
+                .expect("sessions have at least one model"),
+        );
         let user_index = session.user_index;
         self.sessions.push(session);
         self.queue.push(
@@ -522,8 +561,8 @@ impl ClusterSimulation {
     /// place a new container on a node.
     fn schedule_request(
         &mut self,
-        action: &ActionName,
-        model: &ModelId,
+        action: ActionId,
+        model: ModelIndex,
         now: SimTime,
     ) -> Result<ScheduleOutcome, PlatformError> {
         // Both controller views are rebuilt into persistent scratch buffers
@@ -533,13 +572,13 @@ impl ClusterSimulation {
         let mut candidates = std::mem::take(&mut self.warm_candidates_scratch);
         self.controller
             .warm_candidates_into(action, &mut candidates);
-        let selected = self.scheduler.select_warm(model, &candidates);
+        let selected = self.scheduler.select_warm(&self.models[model], &candidates);
         candidates.clear();
         self.warm_candidates_scratch = candidates;
         if let Some(candidate) = selected {
             return self.controller.assign_warm(candidate, now);
         }
-        let memory_bytes = self.controller.action(action)?.memory_budget_bytes;
+        let memory_bytes = self.controller.action(action).memory_budget_bytes;
         match self.place_cold(action, model, memory_bytes) {
             Some(node) => self.controller.schedule_on(action, node, now),
             None => Err(PlatformError::ClusterSaturated {
@@ -553,14 +592,22 @@ impl ClusterSimulation {
     /// node has room.
     fn place_cold(
         &mut self,
-        action: &ActionName,
-        model: &ModelId,
+        action: ActionId,
+        model: ModelIndex,
         memory_bytes: u64,
     ) -> Option<usize> {
+        // When no node has room, answer without building snapshots or
+        // consulting the policy: the policy would find no snapshot that
+        // fits, and no shipped policy changes state on a failed placement
+        // (the contract `Scheduler::place` documents).  Under saturation
+        // this is nearly every call.
+        if !self.controller.fits_anywhere(memory_bytes) {
+            return None;
+        }
         let mut snapshots = std::mem::take(&mut self.node_snapshots_scratch);
         self.controller.node_snapshots_into(action, &mut snapshots);
         let placed = self.scheduler.place(&PlacementContext {
-            model,
+            model: &self.models[model],
             memory_bytes,
             nodes: &snapshots,
             node_enclave_bytes: &self.node_enclave_bytes,
@@ -574,9 +621,14 @@ impl ClusterSimulation {
     /// throughput sweep, which warms up the system before measuring).
     pub fn prewarm(&mut self, model: &ModelId, user_index: usize, count: usize) {
         let user = self.user(user_index);
-        let action = self.router.route(model, SimTime::ZERO);
+        let model_index = Self::model_index(&self.model_indices, model);
+        let endpoint = self.router.route(model, SimTime::ZERO);
+        let action = self
+            .controller
+            .action_id(&endpoint)
+            .expect("routers route to registered endpoints");
         for _ in 0..count {
-            let outcome = match self.schedule_request(&action, model, SimTime::ZERO) {
+            let outcome = match self.schedule_request(action, model_index, SimTime::ZERO) {
                 Ok(outcome) => outcome,
                 Err(_) => break,
             };
@@ -600,19 +652,15 @@ impl ClusterSimulation {
             self.controller
                 .invocation_finished(sandbox_id, SimTime::ZERO)
                 .expect("assigned at schedule time");
-            let mut state = SandboxSimState::new(
-                node,
-                action.clone(),
-                self.config.tcs_per_container,
-                spec_memory,
-            );
+            let mut state =
+                SandboxSimState::new(node, action, self.config.tcs_per_container, spec_memory);
             state.ready = true;
             state.enclave_ready = self.config.strategy.reuses_enclave()
                 || self.config.strategy == ServingStrategy::Untrusted;
-            state.cached_keys = Some((user, model.clone()));
-            state.loaded_model = Some(model.clone());
+            state.cached_keys = Some((user, model_index));
+            state.loaded_model = Some(model_index);
             for slot in state.slot_models.iter_mut() {
-                *slot = Some(model.clone());
+                *slot = Some(model_index);
             }
             // A warm-reused iteration re-warms the container created by an
             // earlier one (with a free slot it is the MRU warm candidate):
@@ -626,7 +674,7 @@ impl ClusterSimulation {
             self.sandbox_state.insert(sandbox_id, state);
         }
         self.router
-            .complete(model, &action, SimTime::ZERO, SimDuration::ZERO, "hot");
+            .complete(model, &endpoint, SimTime::ZERO, SimDuration::ZERO, "hot");
     }
 
     fn epc_pressure(&self, node: usize) -> f64 {
@@ -694,48 +742,37 @@ impl ClusterSimulation {
         extras: Vec<SimRequest>,
         now: SimTime,
     ) {
-        let profile = *self
-            .profiles
-            .get(&request.model)
-            .expect("model registered with the simulation");
+        let model = request.model;
+        let profile = self.profiles[model];
         let user = self.user(request.user_index);
-        let action = self
-            .controller
-            .sandbox(sandbox_id)
-            .expect("sandbox exists")
-            .action
-            .clone();
         let state = self
             .sandbox_state
             .get_mut(&sandbox_id)
             .expect("state tracked for every sandbox");
         let slot = state.free_slot().expect("controller enforces concurrency");
-        let node = state.node;
+        let (node, action) = (state.node, state.action);
 
         let warmth = SandboxWarmth {
             enclave_ready: state.enclave_ready,
-            cached_keys: state.cached_keys.clone(),
-            loaded_model: state.loaded_model.clone(),
-            slot_runtime_ready: state.slot_models[slot].as_ref() == Some(&request.model),
+            cached_keys: state.cached_keys,
+            loaded_model: state.loaded_model,
+            slot_runtime_ready: state.slot_models[slot] == Some(model),
         };
-        let stages = self
-            .config
-            .strategy
-            .stages_for(&warmth, user, &request.model);
+        let stages = self.config.strategy.stages_for(&warmth, user, &model);
         let path = InvocationReport::classify(&stages);
         let enclave_was_initialized = stages.contains(&ServingStage::EnclaveInit);
 
         // Update sandbox state to reflect what the invocation leaves behind.
         state.slot_busy[slot] = true;
-        state.slot_models[slot] = Some(request.model.clone());
+        state.slot_models[slot] = Some(model);
         if self.config.strategy.reuses_enclave()
             || self.config.strategy == ServingStrategy::Untrusted
         {
             state.enclave_ready = true;
         }
-        state.cached_keys = Some((user, request.model.clone()));
+        state.cached_keys = Some((user, model));
         state.loaded_model = if self.config.strategy.reuses_model() {
-            Some(request.model.clone())
+            Some(model)
         } else {
             None
         };
@@ -759,7 +796,7 @@ impl ClusterSimulation {
             debug_assert!(
                 extras
                     .iter()
-                    .all(|e| e.model == request.model && e.user_index == request.user_index),
+                    .all(|e| e.model == model && e.user_index == request.user_index),
                 "batches never mix users or models"
             );
             self.ledger.batches_formed += 1;
@@ -817,9 +854,7 @@ impl ClusterSimulation {
     ) {
         let sandbox_id = outcome.sandbox();
         let sandbox = self.controller.sandbox(sandbox_id).expect("scheduled");
-        let node = sandbox.node;
-        let action = sandbox.action.clone();
-        let memory = sandbox.memory_bytes;
+        let (node, action, memory) = (sandbox.node, sandbox.action, sandbox.memory_bytes);
         let is_cold = outcome.is_cold_start();
         request.cold_start = is_cold;
         // Warm-hit ledger: every dispatch is exactly one of a warm hit or a
@@ -832,11 +867,8 @@ impl ClusterSimulation {
             debug_assert!(extras.is_empty(), "batches only form on warm dispatches");
             self.ledger.cold_dispatches += 1;
         } else {
-            *self
-                .ledger
-                .per_model_warm_hits
-                .entry(request.model.clone())
-                .or_insert(0) += 1 + extras.len() as u64;
+            self.indexed_ledger
+                .record_warm_hits(request.model, 1 + extras.len() as u64);
         }
         let entry = self.sandbox_state.entry(sandbox_id).or_insert_with(|| {
             SandboxSimState::new(node, action, self.config.tcs_per_container, memory)
@@ -879,15 +911,18 @@ impl ClusterSimulation {
         // counts one pending response per routed request, balanced by the
         // one `complete()` a finished request fires — or by the `cancel()`
         // an admission rejection fires), so a queued request must carry its
-        // routed action through retries instead of being routed again.
-        let action = self.router.route(&request.model, now);
+        // routed action through retries instead of being routed again.  The
+        // endpoint's name is resolved to its id here, once per arrival.
+        let endpoint = self.router.route(&self.models[request.model], now);
+        let action = self
+            .controller
+            .action_id(&endpoint)
+            .expect("routers route to registered endpoints");
         debug_assert!(
-            self.action_models
-                .get(&action)
-                .is_some_and(|models| models.contains(&request.model)),
+            self.action_models[action.index()].contains(&request.model),
             "router chose an endpoint that does not serve the model"
         );
-        match self.schedule_request(&action, &request.model, now) {
+        match self.schedule_request(action, request.model, now) {
             Ok(outcome) => {
                 // A request the cluster can serve right now is admitted
                 // without consulting the admission policy: no policy can
@@ -901,10 +936,7 @@ impl ClusterSimulation {
                     // Cluster saturated: queue and retry when capacity
                     // frees up (the pre-admission-control behavior).
                     self.ledger.admitted += 1;
-                    *self
-                        .saturated_action_counts
-                        .entry(action.clone())
-                        .or_insert(0) += 1;
+                    self.saturated_action_counts[action.index()] += 1;
                     self.saturated.push_back((action, request));
                 }
                 AdmissionVerdict::Reject => {
@@ -912,15 +944,12 @@ impl ClusterSimulation {
                     // leave no other trace — no latency sample, no
                     // per-model totals, no GB·s.
                     self.ledger.rejected += 1;
-                    self.router.cancel(&request.model, &action);
+                    self.router.cancel(&self.models[request.model], &endpoint);
                 }
                 AdmissionVerdict::AdmitShedding { victim } => {
                     self.shed_queued(victim);
                     self.ledger.admitted += 1;
-                    *self
-                        .saturated_action_counts
-                        .entry(action.clone())
-                        .or_insert(0) += 1;
+                    self.saturated_action_counts[action.index()] += 1;
                     self.saturated.push_back((action, request));
                 }
             },
@@ -972,30 +1001,33 @@ impl ClusterSimulation {
     /// index into the saturated queue, oldest first).  The victim was
     /// admitted, so it counts as `dropped` — conservation holds — and its
     /// router pending slot is released without a completion record.
+    ///
+    /// # Panics
+    /// Panics if `victim` is past the end of the queue: the policy named a
+    /// request that does not exist, and carrying on would admit one request
+    /// more than the verdict made room for.
     fn shed_queued(&mut self, victim: usize) {
-        let Some((action, request)) = self.saturated.remove(victim) else {
-            debug_assert!(
-                false,
-                "admission policy shed a queue position that does not exist"
-            );
-            return;
-        };
-        Self::forget_saturated_entry(&mut self.saturated_action_counts, &action);
+        let (action, request) = self
+            .saturated
+            .remove(victim)
+            .expect("admission policy shed a queue position that does not exist");
+        Self::forget_saturated_entry(&mut self.saturated_action_counts, action);
         self.ledger.dropped += 1;
         self.ledger.shed += 1;
-        self.router.cancel(&request.model, &action);
+        self.router.cancel(
+            &self.models[request.model],
+            &self.controller.action(action).name,
+        );
     }
 
-    /// Decrements the saturated-queue count of `action` (removing the entry
-    /// at zero) after one of its requests left the queue.
-    fn forget_saturated_entry(counts: &mut FxHashMap<ActionName, usize>, action: &ActionName) {
-        let count = counts
-            .get_mut(action)
+    /// Decrements the saturated-queue count of `action` after one of its
+    /// requests left the queue.  Checked in release builds too: a count
+    /// that would go below zero means the counts and the queue disagree.
+    fn forget_saturated_entry(counts: &mut [usize], action: ActionId) {
+        let count = &mut counts[action.index()];
+        *count = count
+            .checked_sub(1)
             .expect("saturated-queue counts out of sync with the queue");
-        *count -= 1;
-        if *count == 0 {
-            counts.remove(action);
-        }
     }
 
     /// Drains the cluster-saturated queue into whatever capacity is free
@@ -1026,7 +1058,7 @@ impl ClusterSimulation {
         let mut kept = std::mem::take(&mut self.retry_kept);
         kept.clear();
         debug_assert_eq!(
-            counts.values().sum::<usize>(),
+            counts.iter().sum::<usize>(),
             pending.len(),
             "saturated-queue counts out of sync with the queue"
         );
@@ -1048,7 +1080,7 @@ impl ClusterSimulation {
                 kept.push_back((action, request));
                 continue;
             }
-            match self.schedule_request(&action, &request.model, now) {
+            match self.schedule_request(action, request.model, now) {
                 Ok(outcome) => {
                     // Batched execution (§V): a warm, ready container absorbs
                     // compatible queued peers — same action, model, and user —
@@ -1066,7 +1098,7 @@ impl ClusterSimulation {
                     {
                         Self::absorb_batch_peers(
                             &mut pending,
-                            &action,
+                            action,
                             &request,
                             self.config.batching.window - 1,
                         )
@@ -1075,7 +1107,7 @@ impl ClusterSimulation {
                     };
                     unfailed_remaining -= 1 + extras.len();
                     for _ in 0..=extras.len() {
-                        Self::forget_saturated_entry(&mut counts, &action);
+                        Self::forget_saturated_entry(&mut counts, action);
                     }
                     self.dispatch(&outcome, request, extras, now);
                 }
@@ -1083,8 +1115,8 @@ impl ClusterSimulation {
                     // The head and every still-pending request of this
                     // action stop counting; the entries themselves stay in
                     // the queue (and in `counts`) for the next pass.
-                    unfailed_remaining -= counts.get(&action).copied().unwrap_or(0);
-                    failed_actions.push(action.clone());
+                    unfailed_remaining -= counts[action.index()];
+                    failed_actions.push(action);
                     kept.push_back((action, request));
                 }
             }
@@ -1111,8 +1143,8 @@ impl ClusterSimulation {
     /// exact equality on the ⟨user, model⟩ pair; the action check keeps the
     /// batch on the endpoint the router already charged for each request.
     fn absorb_batch_peers(
-        pending: &mut VecDeque<(ActionName, SimRequest)>,
-        action: &ActionName,
+        pending: &mut VecDeque<(ActionId, SimRequest)>,
+        action: ActionId,
         head: &SimRequest,
         limit: usize,
     ) -> Vec<SimRequest> {
@@ -1120,7 +1152,7 @@ impl ClusterSimulation {
         let mut index = 0;
         while extras.len() < limit && index < pending.len() {
             let (queued_action, queued) = &pending[index];
-            if queued_action == action
+            if *queued_action == action
                 && queued.model == head.model
                 && queued.user_index == head.user_index
             {
@@ -1160,7 +1192,7 @@ impl ClusterSimulation {
         // per-action GB·s split of Fig. 14.
         let record = ActivationRecord {
             id: ActivationId(self.next_activation),
-            action: done.action.clone(),
+            action: done.action,
             submitted_at: done.request.submitted,
             started_at: done.started,
             completed_at: now,
@@ -1193,38 +1225,35 @@ impl ClusterSimulation {
         // every rider is still an independent request — its own latency
         // sample, path count, completed tick, router completion, and session
         // advance — so conservation and the latency ledgers hold per item.
-        let (action, path) = (done.action, done.path);
+        let path = done.path;
+        let endpoint = &self.controller.action(done.action).name;
         for request in std::iter::once(done.request).chain(done.extra) {
             let latency = now.duration_since(request.submitted);
+            let model = &self.models[request.model];
             let ledger = &mut self.ledger;
             ledger.latency.record(latency);
-            ledger
-                .per_model_latency
-                .entry(request.model.clone())
-                .or_default()
-                .record(latency);
+            self.indexed_ledger
+                .record_completion(request.model, path, latency);
             ledger.latency_series.record(now, latency.as_secs_f64());
-            *ledger.path_counts.entry(path).or_insert(0) += 1;
             ledger.completed += 1;
             self.router
-                .complete(&request.model, &action, now, latency, path.label());
+                .complete(model, endpoint, now, latency, path.label());
 
             // Session bookkeeping: record the per-query latency and issue the
             // next query of the session immediately.
             if let Some(session_index) = request.session {
                 let session = &mut self.sessions[session_index];
-                ledger.session_latencies.push((
-                    session.name.clone(),
-                    request.model.clone(),
-                    latency,
-                ));
+                ledger
+                    .session_latencies
+                    .push((session.name.clone(), model.clone(), latency));
                 session.advance();
-                if let Some(next_model) = session.next_model().cloned() {
+                if let Some(next_model) = session.next_model() {
+                    let model = Self::model_index(&self.model_indices, next_model);
                     let user_index = session.user_index;
                     self.queue.push(
                         now,
                         Event::Arrival(SimRequest {
-                            model: next_model,
+                            model,
                             user_index,
                             submitted: now,
                             session: Some(session_index),
@@ -1279,7 +1308,7 @@ impl ClusterSimulation {
     /// (later completed or counted `dropped`) instead of breaking the
     /// conservation invariant.  `requeued_waiting` counts the rescues so
     /// tests can prove the path ran (or stayed cold).
-    fn cleanup_evicted(&mut self, evicted: &[SandboxId]) -> Vec<(ActionName, SimRequest)> {
+    fn cleanup_evicted(&mut self, evicted: &[SandboxId]) -> Vec<(ActionId, SimRequest)> {
         let mut rescued = Vec::new();
         for id in evicted {
             self.keyservice.complete(*id);
@@ -1288,7 +1317,7 @@ impl ClusterSimulation {
                     self.node_enclave_bytes[state.node].saturating_sub(state.enclave_bytes);
                 while let Some(request) = state.waiting.pop_front() {
                     self.ledger.requeued_waiting += 1;
-                    rescued.push((state.action.clone(), request));
+                    rescued.push((state.action, request));
                 }
             }
         }
@@ -1300,13 +1329,10 @@ impl ClusterSimulation {
     /// later than anything now parked behind the full cluster, so service
     /// under saturation stays FIFO across a crash.  (Stable sort: equal
     /// submission times keep the deterministic rescue order.)
-    fn requeue_rescued(&mut self, mut rescued: Vec<(ActionName, SimRequest)>) {
+    fn requeue_rescued(&mut self, mut rescued: Vec<(ActionId, SimRequest)>) {
         rescued.sort_by_key(|(_, request)| request.submitted);
         for entry in rescued.into_iter().rev() {
-            *self
-                .saturated_action_counts
-                .entry(entry.0.clone())
-                .or_insert(0) += 1;
+            self.saturated_action_counts[entry.0.index()] += 1;
             self.saturated.push_front(entry);
         }
     }
@@ -1327,7 +1353,7 @@ impl ClusterSimulation {
         let cancelled = self.queue.extract(|_, event| {
             matches!(event, Event::InvocationDone(done) if killed.contains(&done.sandbox))
         });
-        let mut rescued: Vec<(ActionName, SimRequest)> = Vec::new();
+        let mut rescued: Vec<(ActionId, SimRequest)> = Vec::new();
         for (_, event) in cancelled {
             if let Event::InvocationDone(done) = event {
                 let node = done.node;
@@ -1339,7 +1365,7 @@ impl ClusterSimulation {
                 // and extras alike — so conservation survives the fault.
                 for request in std::iter::once(done.request).chain(done.extra) {
                     self.ledger.requeued_inflight += 1;
-                    rescued.push((done.action.clone(), request));
+                    rescued.push((done.action, request));
                 }
             }
         }
@@ -1393,6 +1419,9 @@ impl ClusterSimulation {
     /// re-queued and immediately retried — typically cold-starting fresh
     /// containers on the same nodes.
     fn handle_container_kill(&mut self, model: &ModelId, now: SimTime) {
+        let Some(&model) = self.model_indices.get(model) else {
+            return; // no container can hold an unregistered model
+        };
         let mut victims: Vec<SandboxId> = self
             .sandbox_state
             .iter()
@@ -1484,7 +1513,9 @@ impl ClusterSimulation {
             .into_iter()
             .map(|candidate| {
                 let state = self.sandbox_state.get(&candidate.sandbox);
-                let model = state.and_then(|s| s.warm_model().cloned());
+                let model = state
+                    .and_then(SandboxSimState::warm_model)
+                    .map(|model| self.models[model].clone());
                 let warm_value = model
                     .as_ref()
                     .map_or(0.5, |m| self.scheduler.warm_value(m, candidate.node));
@@ -1668,8 +1699,10 @@ impl ClusterSimulation {
             entry.warm_pool_value += self
                 .sandbox_state
                 .get(&sandbox.id)
-                .and_then(|state| state.warm_model())
-                .map_or(0.5, |model| self.scheduler.warm_value(model, sandbox.node));
+                .and_then(SandboxSimState::warm_model)
+                .map_or(0.5, |model| {
+                    self.scheduler.warm_value(&self.models[model], sandbox.node)
+                });
         }
         nodes
     }
@@ -1678,21 +1711,25 @@ impl ClusterSimulation {
     /// forfeit: one entry per model held by the victim's containers (busy
     /// ones included — their warm state dies when the drain reclaims them
     /// after their in-flight work), sorted by model id for determinism.
-    fn victim_warm_models(&self, victim: usize) -> Vec<(ActionName, ModelId)> {
-        let mut pairs: Vec<(ActionName, ModelId)> = self
+    fn victim_warm_models(&self, victim: usize) -> Vec<(ActionId, ModelIndex)> {
+        let mut pairs: Vec<(ActionId, ModelIndex)> = self
             .controller
             .sandboxes()
             .filter(|s| s.node == victim)
             .filter_map(|s| {
                 self.sandbox_state
                     .get(&s.id)
-                    .and_then(|state| state.warm_model())
-                    .map(|model| (s.action.clone(), model.clone()))
+                    .and_then(SandboxSimState::warm_model)
+                    .map(|model| (s.action, model))
             })
             .collect();
-        pairs.sort_unstable_by(|a, b| {
-            (a.1.as_str(), a.0.as_str()).cmp(&(b.1.as_str(), b.0.as_str()))
-        });
+        let names = |&(action, model): &(ActionId, ModelIndex)| {
+            (
+                self.models[model].as_str(),
+                self.controller.action(action).name.as_str(),
+            )
+        };
+        pairs.sort_unstable_by(|a, b| names(a).cmp(&names(b)));
         pairs.dedup();
         pairs
     }
@@ -1704,15 +1741,12 @@ impl ClusterSimulation {
     /// that reuse that state keep it; keys stay per-user and are fetched on
     /// first use).  Skipped silently when no surviving node has the memory —
     /// pre-migration is an optimisation, never a correctness requirement.
-    fn premigrate(&mut self, action: ActionName, model: ModelId, now: SimTime) {
-        let Ok(spec) = self.controller.action(&action) else {
+    fn premigrate(&mut self, action: ActionId, model: ModelIndex, now: SimTime) {
+        let memory_bytes = self.controller.action(action).memory_budget_bytes;
+        let Some(node) = self.place_cold(action, model, memory_bytes) else {
             return;
         };
-        let memory_bytes = spec.memory_budget_bytes;
-        let Some(node) = self.place_cold(&action, &model, memory_bytes) else {
-            return;
-        };
-        let Ok(outcome) = self.controller.schedule_on(&action, node, now) else {
+        let Ok(outcome) = self.controller.schedule_on(action, node, now) else {
             return;
         };
         let sandbox_id = outcome.sandbox();
@@ -1789,7 +1823,11 @@ impl ClusterSimulation {
         if batch.arrivals.is_empty() {
             self.trace.swap_remove(index);
         }
-        Some((at, Event::Arrival(SimRequest::from(arrival))))
+        let model = Self::model_index(&self.model_indices, &arrival.model);
+        Some((
+            at,
+            Event::Arrival(SimRequest::from_arrival(&arrival, model)),
+        ))
     }
 
     /// Runs the simulation until `horizon` (events after the horizon are
@@ -1888,14 +1926,16 @@ impl ClusterSimulation {
 
         let final_time = self.queue.now().max(end);
         let mut ledger = self.ledger;
+        self.indexed_ledger.fold_into(&mut ledger, &self.models);
         ledger.cold_starts = self.controller.cold_start_count();
+        ledger.index_ops = self.controller.index_ops();
+        ledger.view_sandboxes_scanned = self.controller.view_sandboxes_scanned();
         ledger.gb_seconds = self.metering.cluster_gb_seconds(final_time);
         ledger.node_gb_seconds = self.metering.node_gb_seconds(final_time);
         ledger.per_action_gb_seconds = self
             .metering
             .per_action_gb_seconds()
-            .iter()
-            .map(|(action, gbs)| (action.as_str().to_string(), *gbs))
+            .map(|(action, gbs)| (self.controller.action(action).name.to_string(), gbs))
             .collect();
         ledger.per_action_gb_seconds.sort_by(|a, b| a.0.cmp(&b.0));
         ledger.peak_memory_bytes = self.metering.peak_memory_bytes();
@@ -1947,8 +1987,12 @@ mod tests {
     use super::*;
     use sesemi_inference::{Framework, ModelKind};
     use sesemi_runtime::InvocationPath;
+    use sesemi_sim::LatencyStats;
     use sesemi_sim::SimRng;
     use sesemi_workload::ArrivalProcess;
+    use std::cell::Cell;
+    use std::collections::HashMap;
+    use std::rc::Rc;
 
     fn profile(kind: ModelKind, framework: Framework) -> (ModelId, ModelProfile) {
         (kind.default_id(), ModelProfile::paper(kind, framework))
@@ -2914,6 +2958,180 @@ mod tests {
         // One model, mostly warm/hot traffic behind a prewarmed container.
         assert_eq!(result.per_model_warm_hits.len(), 1);
         assert!(result.warm_hits() > 0);
+    }
+
+    /// A least-loaded policy that counts the placements it is asked for, and
+    /// how many of those no node could have satisfied.
+    struct CountingScheduler {
+        calls: Rc<Cell<u64>>,
+        calls_without_fit: Rc<Cell<u64>>,
+    }
+
+    impl Scheduler for CountingScheduler {
+        fn name(&self) -> &'static str {
+            LeastLoadedScheduler.name()
+        }
+
+        fn place(&mut self, ctx: &PlacementContext<'_>) -> Option<usize> {
+            self.calls.set(self.calls.get() + 1);
+            if !ctx.nodes.iter().any(|node| node.fits(ctx.memory_bytes)) {
+                self.calls_without_fit.set(self.calls_without_fit.get() + 1);
+            }
+            LeastLoadedScheduler.place(ctx)
+        }
+    }
+
+    /// Two nodes with room for two 2-TCS containers each: a pinned model's
+    /// container and one hot container are prewarmed, two more hot
+    /// containers cold-start, and the hot model's 200 rps is then about
+    /// twice what the cluster serves, so nearly every later placement
+    /// finds no room.
+    fn saturated_placement_run(scheduler: Option<Box<dyn Scheduler>>) -> SimulationResult {
+        let (hot, profile) = profile(ModelKind::MbNet, Framework::Tvm);
+        let pinned = ModelId::new("pinned");
+        let budget = sesemi_platform::PlatformConfig::round_memory_budget(
+            profile.enclave_bytes_for_concurrency(2),
+        );
+        let config = ClusterConfig {
+            nodes: 2,
+            tcs_per_container: 2,
+            invoker_memory_bytes: 2 * budget,
+            ..ClusterConfig::multi_node_sgx2()
+        };
+        let mut sim = ClusterSimulation::new(
+            config,
+            vec![(hot.clone(), profile), (pinned.clone(), profile)],
+        );
+        if let Some(scheduler) = scheduler {
+            sim.scheduler = scheduler;
+        }
+        sim.prewarm(&pinned, 0, 1);
+        sim.prewarm(&hot, 0, 1);
+        let mut trace = poisson_trace(&hot, 200.0, 20, 5);
+        trace.extend(poisson_trace(&pinned, 2.0, 20, 6));
+        sim.add_arrivals(trace);
+        sim.run(SimDuration::from_secs(20))
+    }
+
+    /// Pins the contract the nothing-fits shortcut relies on: under
+    /// saturation the policy is consulted only when some node fits, every
+    /// consult places a container, and the run equals the stock policy's.
+    #[test]
+    fn the_placement_policy_is_consulted_only_when_some_node_fits() {
+        let calls = Rc::new(Cell::new(0));
+        let calls_without_fit = Rc::new(Cell::new(0));
+        let counted = saturated_placement_run(Some(Box::new(CountingScheduler {
+            calls: Rc::clone(&calls),
+            calls_without_fit: Rc::clone(&calls_without_fit),
+        })));
+        let stock = saturated_placement_run(None);
+        assert!(
+            stock.p99_latency() > SimDuration::from_secs(1),
+            "the run must saturate: p99 {}",
+            stock.p99_latency()
+        );
+        assert_eq!(calls_without_fit.get(), 0, "consulted with no node fitting");
+        assert_eq!(calls.get(), counted.cold_starts, "every consult places");
+        assert_eq!(counted.cold_starts, 4, "two prewarmed, two request-driven");
+        let fingerprint = |r: &SimulationResult| {
+            (
+                (r.admitted, r.completed, r.dropped, r.cold_starts),
+                (r.dispatched, r.events_processed, r.gb_seconds.to_bits()),
+                (r.index_ops, r.view_sandboxes_scanned),
+                r.latency.samples().to_vec(),
+                r.path_counts.clone(),
+                r.per_model_warm_hits.clone(),
+            )
+        };
+        assert_eq!(fingerprint(&counted), fingerprint(&stock));
+        assert_eq!(stock.check(), Ok(()));
+    }
+
+    /// The per-model and per-path ledgers are kept by index during the run
+    /// and folded into `SimulationResult`'s maps at its end.  The fold keys
+    /// exactly the models and paths that received a sample: a registered
+    /// model with no traffic, or a path no request took, gets no entry.
+    #[test]
+    fn the_end_of_run_fold_keys_exactly_what_received_samples() {
+        // Three models behind one All-in-one endpoint, traffic for two:
+        // containers cold-start, switch models (warm) and repeat one (hot).
+        let profile = ModelProfile::paper(ModelKind::RsNet, Framework::Tvm);
+        let (a, b, idle) = (ModelId::new("a"), ModelId::new("b"), ModelId::new("idle"));
+        let config = ClusterConfig {
+            nodes: 2,
+            routing: RoutingStrategy::AllInOne,
+            tcs_per_container: 1,
+            ..ClusterConfig::multi_node_sgx2()
+        };
+        let models = vec![
+            (a.clone(), profile),
+            (b.clone(), profile),
+            (idle.clone(), profile),
+        ];
+        let mut sim = ClusterSimulation::new(config, models);
+        let mut trace = poisson_trace(&a, 2.0, 120, 3);
+        trace.extend(poisson_trace(&b, 1.0, 120, 4));
+        sim.add_arrivals(trace);
+        let result = sim.run(SimDuration::from_secs(120));
+        assert_eq!(result.check(), Ok(()));
+        let keys = |mut keys: Vec<ModelId>| {
+            keys.sort_unstable_by(|x, y| x.as_str().cmp(y.as_str()));
+            keys
+        };
+        let served = vec![a, b];
+        assert_eq!(
+            keys(result.per_model_latency.keys().cloned().collect()),
+            served
+        );
+        assert_eq!(
+            keys(result.per_model_warm_hits.keys().cloned().collect()),
+            served
+        );
+        let mut paths: Vec<InvocationPath> = result.path_counts.keys().copied().collect();
+        paths.sort_unstable();
+        assert_eq!(
+            paths,
+            [
+                InvocationPath::Cold,
+                InvocationPath::Warm,
+                InvocationPath::Hot
+            ]
+        );
+        let samples: usize = result
+            .per_model_latency
+            .values()
+            .map(LatencyStats::count)
+            .sum();
+        assert_eq!(samples as u64, result.completed);
+        assert_eq!(
+            result.per_model_warm_hits.values().sum::<u64>(),
+            result.warm_hits()
+        );
+        assert_eq!(result.path_counts.values().sum::<u64>(), result.completed);
+        assert!(result.per_model_warm_hits.values().all(|hits| *hits > 0));
+
+        // A prewarmed 4-TCS container serving one user's light traffic runs
+        // the hot path only, so the path ledger keys the hot path alone.
+        let model = ModelId::new("solo");
+        let config = ClusterConfig {
+            tcs_per_container: 4,
+            ..ClusterConfig::single_node_sgx2()
+        };
+        let mut sim = ClusterSimulation::new(
+            config,
+            vec![(model.clone(), profile), (idle.clone(), profile)],
+        );
+        sim.prewarm(&model, 0, 1);
+        sim.add_arrivals(poisson_trace(&model, 0.5, 60, 9));
+        let result = sim.run(SimDuration::from_secs(60));
+        assert!(result.completed > 0);
+        let paths: Vec<InvocationPath> = result.path_counts.keys().copied().collect();
+        assert_eq!(paths, [InvocationPath::Hot]);
+        assert_eq!(result.per_model_latency.len(), 1);
+        assert_eq!(
+            keys(result.per_model_warm_hits.keys().cloned().collect()),
+            [model]
+        );
     }
 
     /// Regression: a warm-reused prewarm iteration must not re-count the

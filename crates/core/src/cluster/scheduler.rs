@@ -43,6 +43,14 @@ pub trait Scheduler {
 
     /// Chooses the node for a new container, or `None` when no acceptable
     /// node has the memory (the request then queues until capacity frees up).
+    ///
+    /// The policy is consulted only when some schedulable node fits: when
+    /// no snapshot in `ctx.nodes` would [`fits`](NodeSnapshot::fits) the
+    /// container, the simulator fails the placement without building the
+    /// snapshots or calling `place`.  That skip changes no outcome as long
+    /// as a policy places only on a node whose snapshot fits (the
+    /// controller refuses any other node) and changes no state of its own
+    /// when it returns `None`.  Every shipped policy does both.
     fn place(&mut self, ctx: &PlacementContext<'_>) -> Option<NodeId>;
 
     /// Chooses which warm container absorbs the invocation.  The default is
@@ -141,8 +149,9 @@ impl Scheduler for LeastLoadedScheduler {
 
 /// Rotates cold starts across the nodes, skipping nodes that lack the
 /// memory.  Ignores home-node affinity entirely, which makes it a useful
-/// locality-blind baseline for the model-affinity comparison.
-#[derive(Clone, Copy, Debug, Default)]
+/// locality-blind baseline for the model-affinity comparison.  The cursor
+/// moves only when a placement succeeds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundRobinScheduler {
     cursor: usize,
 }
@@ -204,8 +213,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// [`Scheduler::on_membership_change`], and because each node's virtual
 /// positions depend only on its own id, the relative order of the surviving
 /// nodes in every model's preference list is preserved across membership
-/// changes.
-#[derive(Clone, Debug)]
+/// changes.  Placing mutates nothing: only a membership change rebuilds
+/// the ring.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelAffinityScheduler {
     /// `(ring position, physical node)`, sorted by position.
     ring: Vec<(u64, NodeId)>,
@@ -445,6 +455,45 @@ mod tests {
         // Saturated cluster yields no placement.
         let full = vec![snapshot(0, 100, 100)];
         assert_eq!(scheduler.place(&ctx(&model, 10, &full, &[0])), None);
+    }
+
+    #[test]
+    fn a_failed_round_robin_placement_leaves_the_cursor_where_it_was() {
+        let model = ModelId::new("m");
+        let nodes = vec![snapshot(0, 1000, 0), snapshot(1, 1000, 0)];
+        let full = vec![snapshot(0, 1000, 1000), snapshot(1, 1000, 1000)];
+        let enclave = vec![0, 0];
+        let mut scheduler = RoundRobinScheduler::new();
+        assert_eq!(
+            scheduler.place(&ctx(&model, 100, &nodes, &enclave)),
+            Some(0)
+        );
+        let before = scheduler;
+        assert_eq!(scheduler.place(&ctx(&model, 100, &full, &enclave)), None);
+        assert_eq!(scheduler, before);
+        assert_eq!(scheduler.cursor, 1);
+        // The next success continues the rotation from where it stood.
+        assert_eq!(
+            scheduler.place(&ctx(&model, 100, &nodes, &enclave)),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn a_failed_affinity_placement_changes_nothing() {
+        let model = ModelId::new("m");
+        let mut scheduler = ModelAffinityScheduler::with_params(4, 31, 2);
+        let full: Vec<NodeSnapshot> = (0..4).map(|n| snapshot(n, 1000, 1000)).collect();
+        let enclave = vec![0u64; 4];
+        let before = scheduler.clone();
+        assert_eq!(scheduler.place(&ctx(&model, 100, &full, &enclave)), None);
+        assert_eq!(scheduler, before);
+        // A successful placement mutates nothing either.
+        let open: Vec<NodeSnapshot> = (0..4).map(|n| snapshot(n, 1000, 0)).collect();
+        assert!(scheduler
+            .place(&ctx(&model, 100, &open, &enclave))
+            .is_some());
+        assert_eq!(scheduler, before);
     }
 
     #[test]

@@ -3,16 +3,22 @@
 
 use sesemi_inference::ModelId;
 use sesemi_keyservice::PartyId;
-use sesemi_platform::{ActionName, SandboxId};
+use sesemi_platform::{ActionId, SandboxId};
 use sesemi_runtime::InvocationPath;
 use sesemi_sim::{LatencyStats, SimDuration, SimTime, TimeSeries};
 use sesemi_workload::{RequestArrival, Tier};
 use std::collections::{HashMap, VecDeque};
 
+/// A registered model's index: its position in the model list
+/// [`ClusterSimulation::new`](crate::cluster::ClusterSimulation::new)
+/// received.  The model set is fixed there, so every per-model table of a
+/// run is a vector indexed by it.
+pub(super) type ModelIndex = usize;
+
 /// One simulated request.
 #[derive(Clone, Debug)]
 pub(super) struct SimRequest {
-    pub(super) model: ModelId,
+    pub(super) model: ModelIndex,
     pub(super) user_index: usize,
     pub(super) submitted: SimTime,
     pub(super) session: Option<usize>,
@@ -26,16 +32,11 @@ pub(super) struct SimRequest {
 }
 
 impl SimRequest {
-    pub(super) fn at_or_before(&self, end: SimTime) -> bool {
-        self.submitted <= end
-    }
-}
-
-impl From<RequestArrival> for SimRequest {
-    /// An open-loop arrival, submitted at its arrival time.
-    fn from(arrival: RequestArrival) -> Self {
+    /// An open-loop arrival for the model at `model`, submitted at its
+    /// arrival time.
+    pub(super) fn from_arrival(arrival: &RequestArrival, model: ModelIndex) -> Self {
         SimRequest {
-            model: arrival.model,
+            model,
             user_index: arrival.user_index,
             submitted: arrival.at,
             session: None,
@@ -43,6 +44,10 @@ impl From<RequestArrival> for SimRequest {
             deadline: arrival.deadline,
             cold_start: false,
         }
+    }
+
+    pub(super) fn at_or_before(&self, end: SimTime) -> bool {
+        self.submitted <= end
     }
 }
 
@@ -61,7 +66,7 @@ pub(super) struct Invocation {
     pub(super) sandbox: SandboxId,
     pub(super) slot: usize,
     pub(super) node: usize,
-    pub(super) action: ActionName,
+    pub(super) action: ActionId,
     pub(super) request: SimRequest,
     /// Requests coalesced into this dispatch behind `request` (the batch
     /// head).  Empty — and allocation-free — on every unbatched run; each
@@ -114,19 +119,19 @@ pub(super) struct SandboxSimState {
     /// controller) so requests parked in `waiting` can be re-queued under
     /// their admission-time action after the controller has already
     /// reclaimed the sandbox.
-    pub(super) action: ActionName,
+    pub(super) action: ActionId,
     pub(super) ready: bool,
     pub(super) enclave_ready: bool,
-    pub(super) cached_keys: Option<(PartyId, ModelId)>,
-    pub(super) loaded_model: Option<ModelId>,
-    pub(super) slot_models: Vec<Option<ModelId>>,
+    pub(super) cached_keys: Option<(PartyId, ModelIndex)>,
+    pub(super) loaded_model: Option<ModelIndex>,
+    pub(super) slot_models: Vec<Option<ModelIndex>>,
     pub(super) slot_busy: Vec<bool>,
     pub(super) waiting: VecDeque<SimRequest>,
     pub(super) enclave_bytes: u64,
 }
 
 impl SandboxSimState {
-    pub(super) fn new(node: usize, action: ActionName, slots: usize, enclave_bytes: u64) -> Self {
+    pub(super) fn new(node: usize, action: ActionId, slots: usize, enclave_bytes: u64) -> Self {
         SandboxSimState {
             node,
             action,
@@ -148,19 +153,86 @@ impl SandboxSimState {
     /// Whether the sandbox currently holds `model`'s state (a loaded model
     /// copy or a slot runtime initialised for it) — the victim predicate of
     /// [`Fault::ContainerKill`](crate::cluster::Fault).
-    pub(super) fn hosts_model(&self, model: &ModelId) -> bool {
-        self.loaded_model.as_ref() == Some(model)
-            || self.slot_models.iter().flatten().any(|m| m == model)
+    pub(super) fn hosts_model(&self, model: ModelIndex) -> bool {
+        self.loaded_model == Some(model) || self.slot_models.iter().flatten().any(|m| *m == model)
     }
 
     /// The model whose warm state this container would contribute if kept
     /// alive: the loaded model, or (for strategies that wipe the model but
     /// keep slot runtimes) the first slot's model.  `None` for a container
     /// holding nothing warm — lifecycle policies score those neutrally.
-    pub(super) fn warm_model(&self) -> Option<&ModelId> {
+    pub(super) fn warm_model(&self) -> Option<ModelIndex> {
         self.loaded_model
-            .as_ref()
-            .or_else(|| self.slot_models.iter().flatten().next())
+            .or_else(|| self.slot_models.iter().flatten().next().copied())
+    }
+}
+
+/// Every [`InvocationPath`]; [`IndexedLedger`] indexes its path counts by
+/// the variant's discriminant (`path as usize`).
+const PATHS: [InvocationPath; 3] = [
+    InvocationPath::Cold,
+    InvocationPath::Warm,
+    InvocationPath::Hot,
+];
+
+/// The run ledger's per-model and per-path counters while a run goes,
+/// indexed by [`ModelIndex`] and path instead of hashed by name.
+/// [`IndexedLedger::fold_into`] writes them into [`SimulationResult`]'s
+/// public maps once, when the run ends.
+#[derive(Debug)]
+pub(super) struct IndexedLedger {
+    model_latency: Vec<LatencyStats>,
+    model_warm_hits: Vec<u64>,
+    path_counts: [u64; PATHS.len()],
+}
+
+impl IndexedLedger {
+    /// An empty ledger for `models` registered models.
+    pub(super) fn new(models: usize) -> Self {
+        IndexedLedger {
+            model_latency: vec![LatencyStats::default(); models],
+            model_warm_hits: vec![0; models],
+            path_counts: [0; PATHS.len()],
+        }
+    }
+
+    /// Counts `hits` warm-hit dispatches of `model`.
+    pub(super) fn record_warm_hits(&mut self, model: ModelIndex, hits: u64) {
+        self.model_warm_hits[model] += hits;
+    }
+
+    /// Records one completed request of `model`, served on `path`.
+    pub(super) fn record_completion(
+        &mut self,
+        model: ModelIndex,
+        path: InvocationPath,
+        latency: SimDuration,
+    ) {
+        self.model_latency[model].record(latency);
+        self.path_counts[path as usize] += 1;
+    }
+
+    /// Writes the counters into `result`'s public maps, keyed by the names
+    /// in `models` (indexed like the ledger).  A model or path gets an entry
+    /// only if it received at least one sample, as it would had every
+    /// sample gone through `entry().or_insert`.
+    pub(super) fn fold_into(self, result: &mut SimulationResult, models: &[ModelId]) {
+        for (model, stats) in models.iter().zip(self.model_latency) {
+            if stats.count() > 0 {
+                result.per_model_latency.insert(model.clone(), stats);
+            }
+        }
+        for (model, hits) in models.iter().zip(self.model_warm_hits) {
+            if hits > 0 {
+                result.per_model_warm_hits.insert(model.clone(), hits);
+            }
+        }
+        for path in PATHS {
+            let count = self.path_counts[path as usize];
+            if count > 0 {
+                result.path_counts.insert(path, count);
+            }
+        }
     }
 }
 
@@ -300,6 +372,16 @@ pub struct SimulationResult {
     /// Discrete events the run's event loop processed — the denominator of
     /// the self-timing harness's events/sec figure.
     pub events_processed: u64,
+    /// Incremental index-maintenance operations the platform controller
+    /// performed over the run
+    /// ([`Controller::index_ops`](sesemi_platform::Controller::index_ops)),
+    /// copied when the run ends: deterministic work, not wall-clock.
+    pub index_ops: u64,
+    /// Sandbox records the controller's scheduling views examined over the
+    /// run
+    /// ([`Controller::view_sandboxes_scanned`](sesemi_platform::Controller::view_sandboxes_scanned)),
+    /// copied when the run ends.
+    pub view_sandboxes_scanned: u64,
     /// Sandbox-count time series (total, serving).
     pub sandbox_series: TimeSeries,
     /// Committed-memory time series in GB.

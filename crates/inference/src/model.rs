@@ -20,11 +20,12 @@ const FORMAT_VERSION: u32 = 1;
 /// are public information (FnPacker routes on them), only the parameters are
 /// confidential.
 ///
-/// The id is interned behind an `Arc<str>`: the simulator clones model ids on
-/// nearly every dispatch decision, and a refcount bump is what keeps those
-/// clones off the allocator.  Comparison, hashing and ordering all delegate
-/// to the underlying `str`, so maps and sorts behave exactly as they did when
-/// the inner type was `String`.
+/// The id is interned behind an `Arc<str>`, so a clone is a refcount bump,
+/// not an allocation.  Comparison, hashing and ordering all delegate to the
+/// underlying `str`, so maps and sorts behave exactly as they did when the
+/// inner type was `String`, and hashing an id still reads its bytes: the
+/// cluster simulator's per-request path carries a dense model index instead,
+/// resolved once when a request arrives.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId(std::sync::Arc<str>);
 

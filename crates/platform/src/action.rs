@@ -6,10 +6,11 @@ use std::fmt;
 
 /// Name of a deployed action (an OpenWhisk "action" / function endpoint).
 ///
-/// Interned behind an `Arc<str>`: action names are cloned on every routing,
-/// queueing and metering step of the simulator's hot path, and the refcount
-/// bump keeps those clones allocation-free.  `Eq` / `Hash` / `Ord` delegate
-/// to the underlying `str`, so the change is invisible to collections.
+/// Interned behind an `Arc<str>`, so a clone is a refcount bump, not an
+/// allocation.  `Eq` / `Hash` / `Ord` delegate to the underlying `str`, so
+/// hashing or comparing a name still reads its bytes: the simulator's
+/// per-request path carries an [`ActionId`] instead and meets a name only
+/// where the router returns one.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActionName(std::sync::Arc<str>);
 
@@ -42,6 +43,23 @@ impl fmt::Debug for ActionName {
 impl From<&str> for ActionName {
     fn from(value: &str) -> Self {
         ActionName::new(value)
+    }
+}
+
+/// Dense identifier of a registered action: its index in the order
+/// [`Controller::register_action`](crate::Controller::register_action)
+/// registered it.  The controller's per-action state is indexed by it, so
+/// the per-request path neither hashes nor clones an [`ActionName`];
+/// [`Controller::action_id`](crate::Controller::action_id) resolves a name
+/// once, at the naming edge.  Only the controller mints ids.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ActionId(pub(crate) u32);
+
+impl ActionId {
+    /// The id as an index into per-action vectors.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -116,7 +134,7 @@ pub struct ActivationRecord {
     /// Activation id.
     pub id: ActivationId,
     /// Action that was invoked.
-    pub action: ActionName,
+    pub action: ActionId,
     /// When the platform received the request.
     pub submitted_at: SimTime,
     /// When a sandbox started executing it.
@@ -179,7 +197,7 @@ mod tests {
     fn activation_record_latencies_and_billing() {
         let record = ActivationRecord {
             id: ActivationId(1),
-            action: ActionName::new("f"),
+            action: ActionId(0),
             submitted_at: SimTime::from_millis(1_000),
             started_at: SimTime::from_millis(1_250),
             completed_at: SimTime::from_millis(2_250),

@@ -8,7 +8,8 @@
 //!    containers with a free concurrency slot; if the scheduler picks one,
 //!    [`Controller::assign_warm`] reuses it (the default pick is the most
 //!    recently used, which maximizes hot invocations for SeMIRT).
-//! 2. Otherwise [`Controller::node_snapshots_into`] describes every node and
+//! 2. Otherwise, if [`Controller::fits_anywhere`] finds a node with room,
+//!    [`Controller::node_snapshots_into`] describes every node and
 //!    [`Controller::schedule_on`] starts a new container on the node the
 //!    scheduler places it on.  [`default_placement`] prefers nodes already
 //!    hosting the action ("OpenWhisk ... preferably launches instances of a
@@ -16,11 +17,15 @@
 //!    free invoker memory.
 //! 3. If no node has enough free memory, the caller queues the request.
 //!
+//! Actions are addressed by the dense [`ActionId`] that
+//! [`Controller::register_action`] returns; [`Controller::action_id`]
+//! resolves a name once, where a request enters with one.
+//!
 //! Idle containers are listed by [`Controller::idle_candidates`] and
 //! reclaimed by [`Controller::reclaim_sandboxes`] once a lifecycle policy
 //! evicts them (by default after the keep-alive window, Table V: 3 minutes).
 
-use crate::action::{ActionName, ActionSpec};
+use crate::action::{ActionId, ActionName, ActionSpec};
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
 use crate::sandbox::{Sandbox, SandboxId, SandboxState};
@@ -54,7 +59,7 @@ pub enum NodeState {
 /// occupancy counters [`Controller::node_snapshots_into`] copies out: every
 /// sandbox lifecycle transition adjusts them in O(1), so a snapshot query
 /// never has to walk the sandbox map.  The node's per-action counts live in
-/// [`Controller`]'s `action_node_sandboxes`, one vector per action.
+/// [`Controller`]'s `action_node_sandboxes`, one vector per action id.
 #[derive(Clone, Debug)]
 struct InvokerNode {
     memory_capacity: u64,
@@ -75,6 +80,14 @@ impl InvokerNode {
             total_sandboxes: 0,
             active_invocations: 0,
         }
+    }
+
+    /// Whether a new container of `memory_bytes` may start here: the node is
+    /// Active and has the memory free.  [`Controller::fits_anywhere`] and
+    /// [`Controller::schedule_on`] apply it to the nodes, and
+    /// [`NodeSnapshot::fits`] applies the same rule to a snapshot.
+    fn fits(&self, memory_bytes: u64) -> bool {
+        self.state == NodeState::Active && self.memory_used + memory_bytes <= self.memory_capacity
     }
 }
 
@@ -129,7 +142,7 @@ pub struct IdleCandidate {
     /// The node hosting it.
     pub node: NodeId,
     /// The action it serves.
-    pub action: ActionName,
+    pub action: ActionId,
     /// When it last served (or was assigned) an activation — the keep-alive
     /// clock.
     pub last_used: SimTime,
@@ -217,21 +230,25 @@ impl ScheduleOutcome {
 pub struct Controller {
     config: PlatformConfig,
     nodes: Vec<InvokerNode>,
-    actions: FxHashMap<ActionName, ActionSpec>,
+    /// Registered actions, indexed by [`ActionId`].
+    actions: Vec<ActionSpec>,
+    /// The naming edge: each registered name's id.
+    action_ids: FxHashMap<ActionName, ActionId>,
     sandboxes: FxHashMap<SandboxId, Sandbox>,
-    /// Live sandbox count of each action per node, indexed by `NodeId`, so
-    /// a placement snapshot looks the action up once rather than once per
-    /// node.  A node past the end of an action's vector hosts none of it.
-    action_node_sandboxes: FxHashMap<ActionName, Vec<usize>>,
+    /// Live sandbox count of each action per node: indexed by [`ActionId`],
+    /// then by `NodeId`.  A node past the end of an action's vector hosts
+    /// none of it.
+    action_node_sandboxes: Vec<Vec<usize>>,
     next_sandbox_id: u64,
     total_cold_starts: u64,
-    /// Per-action warm-candidate index: exactly the sandboxes of the action
-    /// that hold a free concurrency slot on an Active node, ordered by
-    /// sandbox id (a `BTreeSet` iterates ascending, so the view keeps the
-    /// documented tie-break order without sorting).  Maintained at every
-    /// lifecycle transition; empty sets are removed so the map stays
-    /// proportional to the actions with live warm capacity.
-    warm_index: FxHashMap<ActionName, BTreeSet<SandboxId>>,
+    /// Per-action warm-candidate index, indexed by [`ActionId`]: exactly the
+    /// sandboxes of the action that hold a free concurrency slot on an
+    /// Active node, ordered by sandbox id (a `BTreeSet` iterates ascending,
+    /// so the view keeps the documented tie-break order without sorting).
+    /// Maintained at every lifecycle transition.  A set that empties stays
+    /// in place: under saturation an action's set empties at every dispatch
+    /// and refills at every completion.
+    warm_index: Vec<BTreeSet<SandboxId>>,
     /// Sandboxes with at least one activation in flight — the
     /// [`Controller::serving_sandbox_count`] view, maintained at
     /// assign/finish/reclaim time.
@@ -251,12 +268,13 @@ impl Controller {
         Controller {
             config,
             nodes,
-            actions: FxHashMap::default(),
+            actions: Vec::new(),
+            action_ids: FxHashMap::default(),
             sandboxes: FxHashMap::default(),
-            action_node_sandboxes: FxHashMap::default(),
+            action_node_sandboxes: Vec::new(),
             next_sandbox_id: 0,
             total_cold_starts: 0,
-            warm_index: FxHashMap::default(),
+            warm_index: Vec::new(),
             serving_sandboxes: 0,
             view_sandboxes_scanned: Cell::new(0),
             index_ops: 0,
@@ -282,42 +300,20 @@ impl Controller {
         self.index_ops
     }
 
-    /// Recomputes one live sandbox's warm-index membership after a lifecycle
-    /// transition (a concurrency slot taken or freed, its node drained).
-    /// O(log w) in the action's warm-set size.  The membership invariant:
-    /// a sandbox is indexed iff it has a free slot *and* its node is Active
-    /// — exactly the filter the fresh-scan view used to apply.
-    fn refresh_warm_membership(&mut self, id: SandboxId) {
-        let (action, eligible) = {
-            let sandbox = self.sandboxes.get(&id).expect("live sandbox");
-            (
-                sandbox.action.clone(),
-                sandbox.has_free_slot() && self.nodes[sandbox.node].state == NodeState::Active,
-            )
+    /// Puts one sandbox of `action` in the warm index or takes it out,
+    /// counting an index op when that changes the index.  Every lifecycle
+    /// transition calls it with the membership invariant: a sandbox is
+    /// indexed iff it has a free slot *and* its node is Active — exactly the
+    /// filter a fresh scan of the sandboxes applies.
+    fn set_warm_membership(&mut self, action: ActionId, id: SandboxId, indexed: bool) {
+        let set = &mut self.warm_index[action.index()];
+        let changed = if indexed {
+            set.insert(id)
+        } else {
+            set.remove(&id)
         };
-        if eligible {
-            if self.warm_index.entry(action).or_default().insert(id) {
-                self.index_ops += 1;
-            }
-        } else if let Some(set) = self.warm_index.get_mut(&action) {
-            if set.remove(&id) {
-                self.index_ops += 1;
-            }
-            if set.is_empty() {
-                self.warm_index.remove(&action);
-            }
-        }
-    }
-
-    /// Drops one sandbox (being reclaimed) from the warm index.
-    fn forget_warm_membership(&mut self, action: &ActionName, id: SandboxId) {
-        if let Some(set) = self.warm_index.get_mut(action) {
-            if set.remove(&id) {
-                self.index_ops += 1;
-            }
-            if set.is_empty() {
-                self.warm_index.remove(action);
-            }
+        if changed {
+            self.index_ops += 1;
         }
     }
 
@@ -327,25 +323,58 @@ impl Controller {
         &self.config
     }
 
-    /// Registers (deploys) an action.
-    pub fn register_action(&mut self, spec: ActionSpec) -> Result<(), PlatformError> {
-        if let Some(existing) = self.actions.get(&spec.name) {
-            if existing != &spec {
+    /// Registers (deploys) an action and returns its id.  Re-registering
+    /// an identical spec returns the id it already has.
+    ///
+    /// # Errors
+    /// [`PlatformError::ActionAlreadyRegistered`] if the name is registered
+    /// with a different spec.
+    pub fn register_action(&mut self, spec: ActionSpec) -> Result<ActionId, PlatformError> {
+        if let Some(&id) = self.action_ids.get(&spec.name) {
+            if self.actions[id.index()] != spec {
                 return Err(PlatformError::ActionAlreadyRegistered(
                     spec.name.as_str().to_string(),
                 ));
             }
-            return Ok(());
+            return Ok(id);
         }
-        self.actions.insert(spec.name.clone(), spec);
-        Ok(())
+        let id = ActionId(u32::try_from(self.actions.len()).expect("fewer than 2^32 actions"));
+        self.action_ids.insert(spec.name.clone(), id);
+        self.actions.push(spec);
+        self.action_node_sandboxes.push(Vec::new());
+        self.warm_index.push(BTreeSet::new());
+        Ok(id)
     }
 
-    /// Looks up a deployed action.
-    pub fn action(&self, name: &ActionName) -> Result<&ActionSpec, PlatformError> {
-        self.actions
+    /// The id of a deployed action, looked up by name.
+    ///
+    /// # Errors
+    /// [`PlatformError::UnknownAction`] if no action has that name.
+    pub fn action_id(&self, name: &ActionName) -> Result<ActionId, PlatformError> {
+        self.action_ids
             .get(name)
+            .copied()
             .ok_or_else(|| PlatformError::UnknownAction(name.as_str().to_string()))
+    }
+
+    /// A deployed action's spec.
+    ///
+    /// # Panics
+    /// Panics if `action` was not returned by this controller's
+    /// [`Controller::register_action`].
+    #[must_use]
+    pub fn action(&self, action: ActionId) -> &ActionSpec {
+        &self.actions[action.index()]
+    }
+
+    /// Whether some Active node has `memory_bytes` free, that is, whether
+    /// any placement of a container that size can succeed right now.  A
+    /// plain scan over the nodes: callers ask it before building the node
+    /// snapshots and consulting a placement policy, which under saturation
+    /// would only confirm that nothing fits.
+    #[must_use]
+    pub fn fits_anywhere(&self, memory_bytes: u64) -> bool {
+        self.nodes.iter().any(|node| node.fits(memory_bytes))
     }
 
     /// Builds the [`WarmCandidate`] view of one indexed sandbox (membership
@@ -367,11 +396,9 @@ impl Controller {
     /// assignments, warm or cold.  Clears `out` and fills it in place, so a
     /// hot scheduling loop can reuse one persistent buffer instead of
     /// allocating a fresh vector per dispatch.
-    pub fn warm_candidates_into(&self, action: &ActionName, out: &mut Vec<WarmCandidate>) {
+    pub fn warm_candidates_into(&self, action: ActionId, out: &mut Vec<WarmCandidate>) {
         out.clear();
-        let Some(set) = self.warm_index.get(action) else {
-            return;
-        };
+        let set = &self.warm_index[action.index()];
         self.view_sandboxes_scanned
             .set(self.view_sandboxes_scanned.get() + set.len() as u64);
         // The index holds exactly the free-slot sandboxes on Active nodes,
@@ -400,12 +427,14 @@ impl Controller {
         let was_idle = sandbox.is_idle();
         let node = sandbox.node;
         sandbox.assign(now);
+        let (action, has_free_slot) = (sandbox.action, sandbox.has_free_slot());
         self.nodes[node].active_invocations += 1;
         if was_idle {
             self.serving_sandboxes += 1;
         }
         self.index_ops += 1;
-        self.refresh_warm_membership(candidate.sandbox);
+        let active = self.nodes[node].state == NodeState::Active;
+        self.set_warm_membership(action, candidate.sandbox, has_free_slot && active);
         Ok(ScheduleOutcome::Reused {
             sandbox: candidate.sandbox,
             still_starting,
@@ -414,56 +443,46 @@ impl Controller {
 
     /// Cold-starts a new container of `action` on an explicitly chosen node
     /// (the entry point for pluggable placement policies).  Refuses the
-    /// placement if the node is out of range or lacks the memory.
+    /// placement if the node is out of range, not Active or lacks the
+    /// memory.
+    ///
+    /// # Panics
+    /// Panics if `action` was not returned by this controller's
+    /// [`Controller::register_action`].
     pub fn schedule_on(
         &mut self,
-        action: &ActionName,
+        action: ActionId,
         node: NodeId,
         now: SimTime,
     ) -> Result<ScheduleOutcome, PlatformError> {
-        let spec = self
-            .actions
-            .get(action)
-            .ok_or_else(|| PlatformError::UnknownAction(action.as_str().to_string()))?
-            .clone();
-        let fits = self.nodes.get(node).is_some_and(|n| {
-            n.state == NodeState::Active
-                && n.memory_used + spec.memory_budget_bytes <= n.memory_capacity
-        });
-        if !fits {
+        let spec = &self.actions[action.index()];
+        let (memory_bytes, concurrency) = (spec.memory_budget_bytes, spec.container_concurrency);
+        if !self.nodes.get(node).is_some_and(|n| n.fits(memory_bytes)) {
             return Err(PlatformError::InvalidPlacement {
                 node,
-                required_bytes: spec.memory_budget_bytes,
+                required_bytes: memory_bytes,
             });
         }
         let id = SandboxId(self.next_sandbox_id);
         self.next_sandbox_id += 1;
         let host = &mut self.nodes[node];
-        host.memory_used += spec.memory_budget_bytes;
+        host.memory_used += memory_bytes;
         host.total_sandboxes += 1;
         host.active_invocations += 1;
-        let counts = self
-            .action_node_sandboxes
-            .entry(spec.name.clone())
-            .or_default();
+        let counts = &mut self.action_node_sandboxes[action.index()];
         if counts.len() <= node {
             counts.resize(node + 1, 0);
         }
         counts[node] += 1;
         self.serving_sandboxes += 1;
         self.index_ops += 1;
-        let mut sandbox = Sandbox::new(
-            id,
-            spec.name.clone(),
-            node,
-            spec.memory_budget_bytes,
-            spec.container_concurrency,
-            now,
-        );
+        let mut sandbox = Sandbox::new(id, action, node, memory_bytes, concurrency, now);
         sandbox.assign(now);
+        let has_free_slot = sandbox.has_free_slot();
         self.sandboxes.insert(id, sandbox);
         self.total_cold_starts += 1;
-        self.refresh_warm_membership(id);
+        // The node was Active a moment ago (`fits`), so the slot decides.
+        self.set_warm_membership(action, id, has_free_slot);
         Ok(ScheduleOutcome::ColdStart { sandbox: id, node })
     }
 
@@ -473,16 +492,13 @@ impl Controller {
     /// so indexing by `NodeId` stays valid; unschedulable slots report
     /// `fits() == false`.  Clears `out` and fills it in place for callers
     /// that keep a persistent scratch buffer across placement decisions.
-    pub fn node_snapshots_into(&self, action: &ActionName, out: &mut Vec<NodeSnapshot>) {
+    pub fn node_snapshots_into(&self, action: ActionId, out: &mut Vec<NodeSnapshot>) {
         out.clear();
         // The occupancy counters maintained at every lifecycle transition,
-        // zipped with the action's per-node counts from one lookup — no
-        // sandbox is examined, so snapshot cost is O(nodes) regardless of
-        // how many containers the cluster hosts.
-        let action_counts = self
-            .action_node_sandboxes
-            .get(action)
-            .map_or(&[][..], Vec::as_slice);
+        // zipped with the action's per-node counts — no sandbox is
+        // examined, so snapshot cost is O(nodes) regardless of how many
+        // containers the cluster hosts.
+        let action_counts = &self.action_node_sandboxes[action.index()];
         out.extend(self.nodes.iter().enumerate().map(|(node, n)| NodeSnapshot {
             node,
             memory_capacity: n.memory_capacity,
@@ -522,13 +538,15 @@ impl Controller {
         }
         let node = sandbox.node;
         sandbox.finish(now);
-        let now_idle = sandbox.is_idle();
+        let (action, now_idle) = (sandbox.action, sandbox.is_idle());
         self.nodes[node].active_invocations -= 1;
         if now_idle {
             self.serving_sandboxes -= 1;
         }
         self.index_ops += 1;
-        self.refresh_warm_membership(id);
+        // A finish always frees a slot, so the node's state decides.
+        let active = self.nodes[node].state == NodeState::Active;
+        self.set_warm_membership(action, id, active);
         Ok(())
     }
 
@@ -548,7 +566,7 @@ impl Controller {
             .map(|s| IdleCandidate {
                 sandbox: s.id,
                 node: s.node,
-                action: s.action.clone(),
+                action: s.action,
                 last_used: s.last_used,
                 expired: s.keep_alive_expired(now, keep_alive),
                 node_draining: self.nodes[s.node].state == NodeState::Draining,
@@ -603,14 +621,12 @@ impl Controller {
                 node.memory_used = node.memory_used.saturating_sub(sandbox.memory_bytes);
                 node.total_sandboxes -= 1;
                 node.active_invocations -= sandbox.active;
-                if let Some(counts) = self.action_node_sandboxes.get_mut(&sandbox.action) {
-                    counts[sandbox.node] -= 1;
-                }
+                self.action_node_sandboxes[sandbox.action.index()][sandbox.node] -= 1;
                 if !sandbox.is_idle() {
                     self.serving_sandboxes -= 1;
                 }
                 self.index_ops += 1;
-                self.forget_warm_membership(&sandbox.action, *id);
+                self.set_warm_membership(sandbox.action, *id, false);
             }
         }
     }
@@ -653,14 +669,14 @@ impl Controller {
         // Every warm candidate on the node leaves the index at once — a
         // draining node refuses warm assignments — including the busy-but-
         // free-slot survivors the idle reclaim below does not touch.
-        let hosted: Vec<(ActionName, SandboxId)> = self
+        let hosted: Vec<(ActionId, SandboxId)> = self
             .sandboxes
             .values()
             .filter(|s| s.node == node)
-            .map(|s| (s.action.clone(), s.id))
+            .map(|s| (s.action, s.id))
             .collect();
-        for (action, id) in &hosted {
-            self.forget_warm_membership(action, *id);
+        for (action, id) in hosted {
+            self.set_warm_membership(action, id, false);
         }
         let idle: Vec<SandboxId> = self
             .sandboxes
@@ -885,7 +901,7 @@ mod tests {
     }
 
     /// The node snapshots a placement of `action` sees.
-    fn snapshots_of(c: &Controller, action: &ActionName) -> Vec<NodeSnapshot> {
+    fn snapshots_of(c: &Controller, action: ActionId) -> Vec<NodeSnapshot> {
         let mut snapshots = Vec::new();
         c.node_snapshots_into(action, &mut snapshots);
         snapshots
@@ -896,7 +912,7 @@ mod tests {
     /// [`default_placement`] picks.
     fn dispatch(
         c: &mut Controller,
-        action: &ActionName,
+        action: ActionId,
         now: SimTime,
     ) -> Result<ScheduleOutcome, PlatformError> {
         let mut warm = Vec::new();
@@ -904,7 +920,7 @@ mod tests {
         if let Some(candidate) = warm.into_iter().max_by_key(|w| (w.last_used, w.sandbox)) {
             return c.assign_warm(candidate, now);
         }
-        let required_bytes = c.action(action)?.memory_budget_bytes;
+        let required_bytes = c.action(action).memory_budget_bytes;
         let node = default_placement(required_bytes, &snapshots_of(c, action))
             .ok_or(PlatformError::ClusterSaturated { required_bytes })?;
         c.schedule_on(action, node, now)
@@ -928,15 +944,15 @@ mod tests {
     #[test]
     fn first_invocation_cold_starts_then_reuses() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("mbnet", 128, 1)).unwrap();
-        let first = dispatch(&mut c, &"mbnet".into(), SimTime::from_secs(1)).unwrap();
+        let mbnet = c.register_action(spec("mbnet", 128, 1)).unwrap();
+        let first = dispatch(&mut c, mbnet, SimTime::from_secs(1)).unwrap();
         assert!(first.is_cold_start());
         assert_eq!(c.cold_start_count(), 1);
         c.sandbox_ready(first.sandbox()).unwrap();
         c.invocation_finished(first.sandbox(), SimTime::from_secs(2))
             .unwrap();
 
-        let second = dispatch(&mut c, &"mbnet".into(), SimTime::from_secs(3)).unwrap();
+        let second = dispatch(&mut c, mbnet, SimTime::from_secs(3)).unwrap();
         assert_eq!(
             second,
             ScheduleOutcome::Reused {
@@ -950,16 +966,16 @@ mod tests {
     #[test]
     fn concurrency_slots_allow_multiple_in_flight_invocations() {
         let mut c = controller(1, 2048);
-        c.register_action(spec("tvm-dsnet", 384, 4)).unwrap();
-        let first = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
+        let dsnet = c.register_action(spec("tvm-dsnet", 384, 4)).unwrap();
+        let first = dispatch(&mut c, dsnet, SimTime::from_secs(1)).unwrap();
         assert!(first.is_cold_start());
         // Three more requests pack into the same container (4 TCS slots).
         for _ in 0..3 {
-            let outcome = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
+            let outcome = dispatch(&mut c, dsnet, SimTime::from_secs(1)).unwrap();
             assert_eq!(outcome.sandbox(), first.sandbox());
         }
         // The fifth needs a new container.
-        let fifth = dispatch(&mut c, &"tvm-dsnet".into(), SimTime::from_secs(1)).unwrap();
+        let fifth = dispatch(&mut c, dsnet, SimTime::from_secs(1)).unwrap();
         assert!(fifth.is_cold_start());
         assert_eq!(c.sandbox_count(), 2);
         assert_eq!(c.serving_sandbox_count(), 2);
@@ -968,15 +984,15 @@ mod tests {
     #[test]
     fn scheduling_prefers_nodes_already_hosting_the_action() {
         let mut c = controller(3, 4096);
-        c.register_action(spec("rsnet", 768, 1)).unwrap();
+        let rsnet = c.register_action(spec("rsnet", 768, 1)).unwrap();
         c.register_action(spec("other", 768, 1)).unwrap();
-        let a = dispatch(&mut c, &"rsnet".into(), SimTime::from_secs(1)).unwrap();
+        let a = dispatch(&mut c, rsnet, SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node: home, .. } = a else {
             panic!("expected cold start")
         };
         // A different action may land anywhere; rsnet's next container should
         // stay on its home node while memory allows.
-        let b = dispatch(&mut c, &"rsnet".into(), SimTime::from_secs(1)).unwrap();
+        let b = dispatch(&mut c, rsnet, SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node, .. } = b else {
             panic!("expected cold start")
         };
@@ -986,10 +1002,10 @@ mod tests {
     #[test]
     fn saturation_is_reported_when_no_node_fits() {
         let mut c = controller(2, 256);
-        c.register_action(spec("big", 256, 1)).unwrap();
-        let _a = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap();
-        let _b = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap();
-        let err = dispatch(&mut c, &"big".into(), SimTime::from_secs(1)).unwrap_err();
+        let big = c.register_action(spec("big", 256, 1)).unwrap();
+        let _a = dispatch(&mut c, big, SimTime::from_secs(1)).unwrap();
+        let _b = dispatch(&mut c, big, SimTime::from_secs(1)).unwrap();
+        let err = dispatch(&mut c, big, SimTime::from_secs(1)).unwrap_err();
         assert!(matches!(err, PlatformError::ClusterSaturated { .. }));
         assert_eq!(c.committed_memory_bytes(), 512 * MB);
     }
@@ -997,8 +1013,8 @@ mod tests {
     #[test]
     fn keep_alive_eviction_frees_memory() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(outcome.sandbox()).unwrap();
         c.invocation_finished(outcome.sandbox(), SimTime::from_secs(5))
             .unwrap();
@@ -1017,8 +1033,8 @@ mod tests {
     #[test]
     fn busy_containers_are_never_evicted() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 128, 1)).unwrap();
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 128, 1)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         assert!(evict_idle(
             &mut c,
             SimTime::from_secs(1) + SimDuration::from_secs(10_000)
@@ -1031,7 +1047,7 @@ mod tests {
     fn unknown_action_and_sandbox_errors() {
         let mut c = controller(1, 1024);
         assert!(matches!(
-            dispatch(&mut c, &"ghost".into(), SimTime::ZERO),
+            c.action_id(&"ghost".into()),
             Err(PlatformError::UnknownAction(_))
         ));
         assert!(matches!(
@@ -1042,14 +1058,13 @@ mod tests {
             c.sandbox_ready(SandboxId(77)),
             Err(PlatformError::UnknownSandbox(77))
         ));
-        assert!(c.action(&"ghost".into()).is_err());
     }
 
     #[test]
     fn finishing_an_idle_sandbox_is_an_error_not_a_panic() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 128, 1)).unwrap();
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 128, 1)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         c.invocation_finished(outcome.sandbox(), SimTime::from_secs(2))
             .unwrap();
         let err = c
@@ -1061,19 +1076,27 @@ mod tests {
     #[test]
     fn duplicate_registration_is_idempotent_but_conflicts_error() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 128, 1)).unwrap();
-        c.register_action(spec("f", 128, 1)).unwrap();
+        let f = c.register_action(spec("f", 128, 1)).unwrap();
+        let g = c.register_action(spec("g", 128, 1)).unwrap();
+        assert_eq!((f, g), (ActionId(0), ActionId(1)), "ids are dense");
+        assert_eq!(c.register_action(spec("f", 128, 1)).unwrap(), f);
         let err = c.register_action(spec("f", 256, 1)).unwrap_err();
         assert!(matches!(err, PlatformError::ActionAlreadyRegistered(_)));
+        // The naming edge round-trips, and the refused spec left f as it was.
+        assert_eq!(c.action_id(&"g".into()).unwrap(), g);
+        assert_eq!(
+            c.action(c.action_id(&"f".into()).unwrap()),
+            &spec("f", 128, 1)
+        );
     }
 
     #[test]
     fn reuse_reports_still_starting_containers() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 128, 2)).unwrap();
-        let first = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 128, 2)).unwrap();
+        let first = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         // Second request arrives before the container finished cold starting.
-        let second = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let second = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         match second {
             ScheduleOutcome::Reused {
                 sandbox,
@@ -1095,13 +1118,13 @@ mod tests {
     #[test]
     fn node_snapshots_track_memory_and_action_occupancy() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("a", 256, 2)).unwrap();
-        c.register_action(spec("b", 256, 1)).unwrap();
-        let a = dispatch(&mut c, &"a".into(), SimTime::from_secs(1)).unwrap();
-        let ScheduleOutcome::ColdStart { node: a_node, .. } = a else {
+        let a = c.register_action(spec("a", 256, 2)).unwrap();
+        let b = c.register_action(spec("b", 256, 1)).unwrap();
+        let outcome = dispatch(&mut c, a, SimTime::from_secs(1)).unwrap();
+        let ScheduleOutcome::ColdStart { node: a_node, .. } = outcome else {
             panic!("expected cold start")
         };
-        let snapshots = snapshots_of(&c, &"a".into());
+        let snapshots = snapshots_of(&c, a);
         assert_eq!(snapshots.len(), 2);
         assert_eq!(snapshots[a_node].action_sandboxes, 1);
         assert_eq!(snapshots[a_node].total_sandboxes, 1);
@@ -1113,9 +1136,7 @@ mod tests {
         // The other node is empty, and `b` has no sandboxes anywhere.
         let other = 1 - a_node;
         assert_eq!(snapshots[other].total_sandboxes, 0);
-        assert!(snapshots_of(&c, &"b".into())
-            .iter()
-            .all(|s| s.action_sandboxes == 0));
+        assert!(snapshots_of(&c, b).iter().all(|s| s.action_sandboxes == 0));
     }
 
     #[test]
@@ -1143,16 +1164,16 @@ mod tests {
     #[test]
     fn warm_candidates_and_explicit_assignment() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 128, 1)).unwrap();
+        let f = c.register_action(spec("f", 128, 1)).unwrap();
         let mut warm = Vec::new();
-        c.warm_candidates_into(&"f".into(), &mut warm);
+        c.warm_candidates_into(f, &mut warm);
         assert!(warm.is_empty());
-        let first = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let first = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(first.sandbox()).unwrap();
         c.invocation_finished(first.sandbox(), SimTime::from_secs(2))
             .unwrap();
 
-        c.warm_candidates_into(&"f".into(), &mut warm);
+        c.warm_candidates_into(f, &mut warm);
         let [candidate] = warm[..] else {
             panic!("expected one warm container, got {warm:?}")
         };
@@ -1176,44 +1197,36 @@ mod tests {
     #[test]
     fn schedule_on_places_exactly_where_told_and_refuses_bad_nodes() {
         let mut c = controller(3, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
-        let outcome = c
-            .schedule_on(&"f".into(), 2, SimTime::from_secs(1))
-            .unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
+        let outcome = c.schedule_on(f, 2, SimTime::from_secs(1)).unwrap();
         let ScheduleOutcome::ColdStart { node, .. } = outcome else {
             panic!("expected cold start")
         };
         assert_eq!(node, 2);
-        assert_eq!(snapshots_of(&c, &"f".into())[2].memory_used, 256 * MB);
+        assert_eq!(snapshots_of(&c, f)[2].memory_used, 256 * MB);
         // Out-of-range node.
         assert!(matches!(
-            c.schedule_on(&"f".into(), 9, SimTime::from_secs(1)),
+            c.schedule_on(f, 9, SimTime::from_secs(1)),
             Err(PlatformError::InvalidPlacement { node: 9, .. })
         ));
         // A node without enough memory (1024 MB holds four 256 MB containers).
         for _ in 0..4 {
-            c.schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-                .unwrap();
+            c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         }
         assert!(matches!(
-            c.schedule_on(&"f".into(), 0, SimTime::from_secs(1)),
+            c.schedule_on(f, 0, SimTime::from_secs(1)),
             Err(PlatformError::InvalidPlacement { node: 0, .. })
-        ));
-        // Unknown actions are still reported as such.
-        assert!(matches!(
-            c.schedule_on(&"ghost".into(), 0, SimTime::ZERO),
-            Err(PlatformError::UnknownAction(_))
         ));
     }
 
     #[test]
     fn added_nodes_are_schedulable_and_grow_the_pool() {
         let mut c = controller(1, 512);
-        c.register_action(spec("f", 512, 1)).unwrap();
-        let _ = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 512, 1)).unwrap();
+        let _ = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         // Node 0 is full: the cluster saturates...
         assert!(matches!(
-            dispatch(&mut c, &"f".into(), SimTime::from_secs(1)),
+            dispatch(&mut c, f, SimTime::from_secs(1)),
             Err(PlatformError::ClusterSaturated { .. })
         ));
         // ...until a new node joins with the configured invoker memory.
@@ -1222,7 +1235,7 @@ mod tests {
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.active_node_count(), 2);
         assert_eq!(c.provisioned_memory_bytes(), 2 * 512 * MB);
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(2)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(2)).unwrap();
         assert_eq!(
             outcome,
             ScheduleOutcome::ColdStart {
@@ -1235,17 +1248,13 @@ mod tests {
     #[test]
     fn draining_refuses_placements_and_reclaims_idle_containers_immediately() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         // One idle and one busy sandbox on node 0.
-        let idle = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let idle = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(idle.sandbox()).unwrap();
         c.invocation_finished(idle.sandbox(), SimTime::from_secs(2))
             .unwrap();
-        let busy = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(3))
-            .unwrap();
+        let busy = c.schedule_on(f, 0, SimTime::from_secs(3)).unwrap();
         c.sandbox_ready(busy.sandbox()).unwrap();
 
         let evicted = c.drain_node(0).unwrap();
@@ -1260,17 +1269,17 @@ mod tests {
         // No new placements land on node 0: schedule_on refuses, snapshots
         // report unschedulable, the busy survivor is not a warm candidate.
         assert!(matches!(
-            c.schedule_on(&"f".into(), 0, SimTime::from_secs(4)),
+            c.schedule_on(f, 0, SimTime::from_secs(4)),
             Err(PlatformError::InvalidPlacement { node: 0, .. })
         ));
-        let snapshots = snapshots_of(&c, &"f".into());
+        let snapshots = snapshots_of(&c, f);
         assert!(!snapshots[0].schedulable);
         assert!(!snapshots[0].fits(1));
         assert_eq!(default_placement(256 * MB, &snapshots), Some(1));
         c.invocation_finished(busy.sandbox(), SimTime::from_secs(5))
             .unwrap();
         let mut warm = Vec::new();
-        c.warm_candidates_into(&"f".into(), &mut warm);
+        c.warm_candidates_into(f, &mut warm);
         assert!(warm.is_empty());
 
         // The now-idle survivor is reclaimed on the next eviction pass even
@@ -1285,22 +1294,20 @@ mod tests {
         assert_eq!(c.active_node_count(), 1);
         assert_eq!(c.provisioned_memory_bytes(), 1024 * MB);
         // Ids stay stable: node 1 is still node 1 in the snapshots.
-        assert_eq!(snapshots_of(&c, &"f".into()).len(), 2);
+        assert_eq!(snapshots_of(&c, f).len(), 2);
     }
 
     #[test]
     fn node_lifecycle_transitions_are_validated() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         // Removing an active node is refused: drain first.
         assert!(matches!(
             c.remove_node(0),
             Err(PlatformError::InvalidNodeState { node: 0, .. })
         ));
         // Removing a draining node that still hosts work is refused.
-        let busy = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let busy = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         assert!(c.drain_node(0).unwrap().is_empty());
         assert!(matches!(
             c.remove_node(0),
@@ -1321,22 +1328,16 @@ mod tests {
     #[test]
     fn crash_node_force_removes_a_non_empty_node() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         // One busy and one idle sandbox on node 0 — a node `remove_node`
         // would refuse even after a drain (the busy one is still working).
-        let busy = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let busy = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(busy.sandbox()).unwrap();
-        let idle = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(2))
-            .unwrap();
+        let idle = c.schedule_on(f, 0, SimTime::from_secs(2)).unwrap();
         c.sandbox_ready(idle.sandbox()).unwrap();
         c.invocation_finished(idle.sandbox(), SimTime::from_secs(3))
             .unwrap();
-        let survivor = c
-            .schedule_on(&"f".into(), 1, SimTime::from_secs(3))
-            .unwrap();
+        let survivor = c.schedule_on(f, 1, SimTime::from_secs(3)).unwrap();
 
         let mut victims = c.crash_node(0).unwrap();
         victims.sort_unstable();
@@ -1352,7 +1353,7 @@ mod tests {
         assert!(c.sandbox(survivor.sandbox()).is_ok());
         assert_eq!(c.committed_memory_bytes(), 256 * MB);
         assert!(matches!(
-            c.schedule_on(&"f".into(), 0, SimTime::from_secs(4)),
+            c.schedule_on(f, 0, SimTime::from_secs(4)),
             Err(PlatformError::InvalidPlacement { node: 0, .. })
         ));
         // Crashing again (retired) or crashing a ghost node is an error;
@@ -1367,8 +1368,8 @@ mod tests {
     #[test]
     fn kill_sandbox_reclaims_busy_containers_and_frees_their_memory() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 256, 2)).unwrap();
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 256, 2)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(outcome.sandbox()).unwrap();
         assert_eq!(c.serving_sandbox_count(), 1);
         c.kill_sandbox(outcome.sandbox()).unwrap();
@@ -1383,15 +1384,13 @@ mod tests {
     #[test]
     fn drain_diverts_home_affinity_to_the_remaining_nodes() {
         let mut c = controller(2, 4096);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         // Establish node 0 as f's home node, then drain it: the next cold
         // start must land on node 1 even though node 0 hosts f's sandboxes.
-        let home = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let home = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(home.sandbox()).unwrap();
         c.drain_node(0).unwrap();
-        let outcome = dispatch(&mut c, &"f".into(), SimTime::from_secs(2)).unwrap();
+        let outcome = dispatch(&mut c, f, SimTime::from_secs(2)).unwrap();
         assert_eq!(
             outcome,
             ScheduleOutcome::ColdStart {
@@ -1408,11 +1407,11 @@ mod tests {
         // iteration order, so policy-driven eviction can never introduce
         // iteration-order drift into the determinism guard.
         let mut c = controller(4, 4096);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         let mut ids = Vec::new();
         for i in 0..12u64 {
             let outcome = c
-                .schedule_on(&"f".into(), (i % 4) as usize, SimTime::from_secs(1))
+                .schedule_on(f, (i % 4) as usize, SimTime::from_secs(1))
                 .unwrap();
             c.sandbox_ready(outcome.sandbox()).unwrap();
             c.invocation_finished(outcome.sandbox(), SimTime::from_secs(2))
@@ -1431,24 +1430,18 @@ mod tests {
     #[test]
     fn idle_candidates_expose_expiry_and_drain_state_in_id_order() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
         // An old idle sandbox on node 0, a fresh idle one on node 1, and a
         // busy one on node 1 (never a candidate).
-        let old = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let old = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(old.sandbox()).unwrap();
         c.invocation_finished(old.sandbox(), SimTime::from_secs(2))
             .unwrap();
-        let fresh = c
-            .schedule_on(&"f".into(), 1, SimTime::from_secs(198))
-            .unwrap();
+        let fresh = c.schedule_on(f, 1, SimTime::from_secs(198)).unwrap();
         c.sandbox_ready(fresh.sandbox()).unwrap();
         c.invocation_finished(fresh.sandbox(), SimTime::from_secs(199))
             .unwrap();
-        let busy = c
-            .schedule_on(&"f".into(), 1, SimTime::from_secs(199))
-            .unwrap();
+        let busy = c.schedule_on(f, 1, SimTime::from_secs(199)).unwrap();
 
         let candidates = c.idle_candidates(SimTime::from_secs(200));
         assert_eq!(candidates.len(), 2);
@@ -1456,7 +1449,7 @@ mod tests {
         assert!(candidates[0].expired, "idle for 198 s > 180 s keep-alive");
         assert!(!candidates[0].node_draining);
         assert_eq!(candidates[0].last_used, SimTime::from_secs(2));
-        assert_eq!(candidates[0].action, ActionName::new("f"));
+        assert_eq!(candidates[0].action, f);
         assert_eq!(candidates[1].sandbox, fresh.sandbox());
         assert!(!candidates[1].expired);
         assert!(!candidates.iter().any(|c| c.sandbox == busy.sandbox()));
@@ -1472,16 +1465,14 @@ mod tests {
     #[test]
     fn reclaim_sandboxes_is_atomic_and_refuses_busy_or_unknown_ids() {
         let mut c = controller(1, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
-        let idle = dispatch(&mut c, &"f".into(), SimTime::from_secs(1)).unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
+        let idle = dispatch(&mut c, f, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(idle.sandbox()).unwrap();
         c.invocation_finished(idle.sandbox(), SimTime::from_secs(2))
             .unwrap();
         // An explicit placement cold-starts a second container (with its
         // invocation in flight) instead of reusing the idle warm one.
-        let busy = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(3))
-            .unwrap();
+        let busy = c.schedule_on(f, 0, SimTime::from_secs(3)).unwrap();
         c.sandbox_ready(busy.sandbox()).unwrap();
 
         // A verdict naming a busy sandbox is refused wholesale: the idle one
@@ -1506,10 +1497,8 @@ mod tests {
     #[test]
     fn node_memory_pressure_tracks_commitment_per_slot() {
         let mut c = controller(2, 1024);
-        c.register_action(spec("f", 256, 1)).unwrap();
-        let _ = c
-            .schedule_on(&"f".into(), 0, SimTime::from_secs(1))
-            .unwrap();
+        let f = c.register_action(spec("f", 256, 1)).unwrap();
+        let _ = c.schedule_on(f, 0, SimTime::from_secs(1)).unwrap();
         let pressure = c.node_memory_pressure();
         assert_eq!(pressure.len(), 2);
         assert!((pressure[0] - 0.25).abs() < 1e-12);
@@ -1529,13 +1518,11 @@ mod tests {
         // how many idle sandboxes other actions keep alive.  On a fresh-scan
         // controller this fails — every view walks the whole sandbox map.
         let mut c = controller(8, 20 * 1024);
-        c.register_action(spec("hot", 128, 4)).unwrap();
-        c.register_action(spec("noise", 128, 1)).unwrap();
+        let hot = c.register_action(spec("hot", 128, 4)).unwrap();
+        let noise = c.register_action(spec("noise", 128, 1)).unwrap();
         // Two warm hot containers with free slots.
         for _ in 0..2 {
-            let outcome = c
-                .schedule_on(&"hot".into(), 0, SimTime::from_secs(1))
-                .unwrap();
+            let outcome = c.schedule_on(hot, 0, SimTime::from_secs(1)).unwrap();
             c.sandbox_ready(outcome.sandbox()).unwrap();
             c.invocation_finished(outcome.sandbox(), SimTime::from_secs(2))
                 .unwrap();
@@ -1543,17 +1530,17 @@ mod tests {
         let dispatch_scans = |c: &Controller| {
             let before = c.view_sandboxes_scanned();
             let mut warm = Vec::new();
-            c.warm_candidates_into(&"hot".into(), &mut warm);
+            c.warm_candidates_into(hot, &mut warm);
             assert_eq!(warm.len(), 2, "both hot containers stay warm");
             let mut snapshots = Vec::new();
-            c.node_snapshots_into(&"hot".into(), &mut snapshots);
+            c.node_snapshots_into(hot, &mut snapshots);
             c.view_sandboxes_scanned() - before
         };
         let baseline = dispatch_scans(&c);
         // A thousand idle containers of an unrelated action join the pool.
         for i in 0..1_000u64 {
             let outcome = c
-                .schedule_on(&"noise".into(), (1 + i % 7) as usize, SimTime::from_secs(3))
+                .schedule_on(noise, (1 + i % 7) as usize, SimTime::from_secs(3))
                 .unwrap();
             c.sandbox_ready(outcome.sandbox()).unwrap();
             c.invocation_finished(outcome.sandbox(), SimTime::from_secs(4))
@@ -1575,13 +1562,9 @@ mod tests {
     #[test]
     fn active_node_loads_reflect_sandboxes_and_in_flight_work() {
         let mut c = controller(3, 4096);
-        c.register_action(spec("f", 256, 2)).unwrap();
-        let a = c
-            .schedule_on(&"f".into(), 1, SimTime::from_secs(1))
-            .unwrap();
-        let _b = c
-            .schedule_on(&"f".into(), 1, SimTime::from_secs(1))
-            .unwrap();
+        let f = c.register_action(spec("f", 256, 2)).unwrap();
+        let a = c.schedule_on(f, 1, SimTime::from_secs(1)).unwrap();
+        let _b = c.schedule_on(f, 1, SimTime::from_secs(1)).unwrap();
         c.sandbox_ready(a.sandbox()).unwrap();
         c.invocation_finished(a.sandbox(), SimTime::from_secs(2))
             .unwrap();

@@ -34,7 +34,7 @@ pub mod error;
 pub mod metering;
 pub mod sandbox;
 
-pub use action::{ActionName, ActionSpec, ActivationId, ActivationRecord};
+pub use action::{ActionId, ActionName, ActionSpec, ActivationId, ActivationRecord};
 pub use config::PlatformConfig;
 pub use controller::{
     default_placement, Controller, IdleCandidate, NodeId, NodeSnapshot, NodeState, ScheduleOutcome,

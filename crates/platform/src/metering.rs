@@ -1,14 +1,15 @@
 //! Cost metering: GB·second accounting per action and cluster-wide memory /
 //! sandbox-count time series (the data behind Fig. 14).
 
-use crate::action::{ActionName, ActivationRecord};
+use crate::action::{ActionId, ActivationRecord};
 use sesemi_sim::{GbSecondMeter, SimTime, TimeSeries};
-use std::collections::HashMap;
 
 /// Collects the cost and utilization metrics the paper reports in §VI-C.
 #[derive(Debug, Default)]
 pub struct Metering {
-    per_action_gb_seconds: HashMap<ActionName, f64>,
+    /// Billed GB·s per action, indexed by [`ActionId`]; `None` until the
+    /// action's first activation.
+    per_action_gb_seconds: Vec<Option<f64>>,
     cluster_memory: GbSecondMeter,
     node_capacity: GbSecondMeter,
     memory_series: TimeSeries,
@@ -39,10 +40,11 @@ impl Metering {
         if record.cold_start {
             self.cold_starts += 1;
         }
-        *self
-            .per_action_gb_seconds
-            .entry(record.action.clone())
-            .or_insert(0.0) += record.gb_seconds();
+        let index = record.action.index();
+        if self.per_action_gb_seconds.len() <= index {
+            self.per_action_gb_seconds.resize(index + 1, None);
+        }
+        *self.per_action_gb_seconds[index].get_or_insert(0.0) += record.gb_seconds();
     }
 
     /// Records the cluster state at `now`: total memory committed to
@@ -97,10 +99,16 @@ impl Metering {
     }
 
     /// Per-action GB·second billing, as recorded by
-    /// [`Metering::record_activation`].
-    #[must_use]
-    pub fn per_action_gb_seconds(&self) -> &HashMap<ActionName, f64> {
-        &self.per_action_gb_seconds
+    /// [`Metering::record_activation`]: one entry per action with at least
+    /// one activation, in [`ActionId`] order.
+    pub fn per_action_gb_seconds(&self) -> impl Iterator<Item = (ActionId, f64)> + '_ {
+        self.per_action_gb_seconds
+            .iter()
+            .enumerate()
+            .filter_map(|(index, gbs)| {
+                let id = ActionId(u32::try_from(index).expect("action ids fit in u32"));
+                gbs.map(|gbs| (id, gbs))
+            })
     }
 
     /// Cluster-level GB·seconds computed as the integral of committed sandbox
@@ -158,7 +166,7 @@ mod tests {
     const GB: u64 = 1024 * 1024 * 1024;
 
     fn record(
-        action: &str,
+        action: u32,
         start_ms: u64,
         end_ms: u64,
         cold: bool,
@@ -166,7 +174,7 @@ mod tests {
     ) -> ActivationRecord {
         ActivationRecord {
             id: ActivationId(start_ms),
-            action: ActionName::new(action),
+            action: ActionId(action),
             submitted_at: SimTime::from_millis(start_ms),
             started_at: SimTime::from_millis(start_ms),
             completed_at: SimTime::from_millis(end_ms),
@@ -178,15 +186,16 @@ mod tests {
     #[test]
     fn per_action_and_total_gb_seconds() {
         let mut metering = Metering::new();
-        metering.record_activation(&record("a", 0, 1_000, true, GB));
-        metering.record_activation(&record("a", 0, 2_000, false, GB));
-        metering.record_activation(&record("b", 0, 500, false, 2 * GB));
-        let billed = metering.per_action_gb_seconds();
-        let a = billed[&ActionName::new("a")];
-        let b = billed[&ActionName::new("b")];
+        metering.record_activation(&record(0, 0, 1_000, true, GB));
+        metering.record_activation(&record(0, 0, 2_000, false, GB));
+        metering.record_activation(&record(2, 0, 500, false, 2 * GB));
+        // Action 1 has no activation and so no entry.
+        let billed: Vec<(ActionId, f64)> = metering.per_action_gb_seconds().collect();
+        let [(ActionId(0), a), (ActionId(2), b)] = billed[..] else {
+            panic!("expected entries for actions 0 and 2 only: {billed:?}")
+        };
         assert!((a - 3.0 * 1.073741824).abs() < 1e-6, "a = {a}");
         assert!((b - 0.5 * 2.147483648).abs() < 1e-6, "b = {b}");
-        assert_eq!(billed.len(), 2);
         assert_eq!(metering.cold_start_count(), 1);
     }
 

@@ -1,6 +1,6 @@
 //! Sandbox (container) instances.
 
-use crate::action::ActionName;
+use crate::action::ActionId;
 use sesemi_sim::SimTime;
 use std::fmt;
 
@@ -29,8 +29,9 @@ pub enum SandboxState {
 pub struct Sandbox {
     /// Unique id.
     pub id: SandboxId,
-    /// The action this container runs.
-    pub action: ActionName,
+    /// The action this container runs (its name is
+    /// [`Controller::action`](crate::Controller::action)`(action).name`).
+    pub action: ActionId,
     /// The invoker node hosting it.
     pub node: usize,
     /// Memory budget charged against the node.
@@ -58,7 +59,7 @@ impl Sandbox {
     #[must_use]
     pub fn new(
         id: SandboxId,
-        action: ActionName,
+        action: ActionId,
         node: usize,
         memory_bytes: u64,
         concurrency_limit: usize,
@@ -132,7 +133,7 @@ mod tests {
     fn sandbox() -> Sandbox {
         Sandbox::new(
             SandboxId(1),
-            ActionName::new("f"),
+            ActionId(0),
             0,
             256 * 1024 * 1024,
             2,

@@ -125,4 +125,13 @@ fn bench_document_parses_with_both_sections_and_nonzero_requests_per_sec() {
     // The deterministic slices embed cleanly too.
     assert!(json.contains("\"events_processed\""));
     assert!(json.contains("\"peak_rss_bytes\""));
+    // Each section carries its work counters in a block of their own,
+    // after `deterministic` and outside it, so CI can extract each block
+    // by its first closing brace.
+    for run in [&well, &saturated] {
+        assert!(run.index_ops > 0 && run.view_sandboxes_scanned > 0);
+        assert!(json.contains(&run.work_json().replace('\n', "\n    ")));
+        assert!(!run.deterministic_json().contains("index_ops"));
+    }
+    assert_eq!(json.matches("\"work\": {").count(), 2, "{json}");
 }

@@ -15,7 +15,7 @@ mod shrink;
 
 use proptest::prelude::*;
 use sesemi_platform::{
-    ActionName, ActionSpec, Controller, NodeSnapshot, NodeState, PlatformConfig, SandboxId,
+    ActionId, ActionSpec, Controller, NodeSnapshot, NodeState, PlatformConfig, SandboxId,
     SandboxState, WarmCandidate,
 };
 use sesemi_sim::SimTime;
@@ -91,14 +91,14 @@ fn actions() -> Vec<ActionSpec> {
 
 /// Re-derives every incrementally maintained view from the public sandbox
 /// iterator and compares.  Any mismatch is a broken index invariant.
-fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<(), String> {
-    for action in names {
+fn check_views_against_oracle(c: &Controller, ids: &[ActionId]) -> Result<(), String> {
+    for &action in ids {
         // Warm candidates: the action's free-slot sandboxes on Active nodes,
         // ascending id.
         let mut expected: Vec<WarmCandidate> = c
             .sandboxes()
             .filter(|s| {
-                &s.action == action
+                s.action == action
                     && s.has_free_slot()
                     && c.node_state(s.node) == Some(NodeState::Active)
             })
@@ -134,7 +134,7 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
             snapshot.memory_used += sandbox.memory_bytes;
             snapshot.total_sandboxes += 1;
             snapshot.active_invocations += sandbox.active;
-            if &sandbox.action == action {
+            if sandbox.action == action {
                 snapshot.action_sandboxes += 1;
             }
         }
@@ -143,6 +143,15 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
         if actual != snapshots {
             return Err(format!(
                 "node_snapshots_into({action:?}) diverged:\n  indexed {actual:?}\n  oracle  {snapshots:?}"
+            ));
+        }
+        // Placement is possible exactly when some snapshot fits.
+        let bytes = c.action(action).memory_budget_bytes;
+        let fits = snapshots.iter().any(|snapshot| snapshot.fits(bytes));
+        if c.fits_anywhere(bytes) != fits {
+            return Err(format!(
+                "fits_anywhere({bytes}) for {action:?} diverged: indexed {} oracle {fits}",
+                c.fits_anywhere(bytes)
             ));
         }
     }
@@ -185,12 +194,16 @@ fn check_views_against_oracle(c: &Controller, names: &[ActionName]) -> Result<()
 fn run_lockstep(ops: &[Op]) -> Result<(), String> {
     let ops = ops.to_vec();
     std::panic::catch_unwind(move || {
-        let specs = actions();
-        let names: Vec<ActionName> = specs.iter().map(|spec| spec.name.clone()).collect();
         let config = PlatformConfig::default().with_invoker_memory(1024 * MB);
         let mut c = Controller::new(config, 3);
-        for spec in specs {
-            c.register_action(spec).unwrap();
+        let ids: Vec<ActionId> = actions()
+            .into_iter()
+            .map(|spec| c.register_action(spec).unwrap())
+            .collect();
+        // The naming edge round-trips: name → id → spec with that name.
+        for (spec, &id) in actions().iter().zip(&ids) {
+            assert_eq!(c.action_id(&spec.name), Ok(id));
+            assert_eq!(c.action(id).name, spec.name);
         }
         let mut in_flight: Vec<SandboxId> = Vec::new();
         let mut now = SimTime::ZERO;
@@ -202,12 +215,12 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
                     pick,
                     ready,
                 } => {
-                    let name = &names[action % names.len()];
-                    let bytes = c.action(name).unwrap().memory_budget_bytes;
+                    let id = ids[action % ids.len()];
+                    let bytes = c.action(id).memory_budget_bytes;
                     let mut warm = Vec::new();
-                    c.warm_candidates_into(name, &mut warm);
+                    c.warm_candidates_into(id, &mut warm);
                     let mut snapshots = Vec::new();
-                    c.node_snapshots_into(name, &mut snapshots);
+                    c.node_snapshots_into(id, &mut snapshots);
                     let nodes: Vec<usize> = snapshots
                         .iter()
                         .filter(|snapshot| snapshot.fits(bytes))
@@ -218,7 +231,7 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
                         let choice = pick % options;
                         let outcome = match warm.get(choice) {
                             Some(candidate) => c.assign_warm(*candidate, now),
-                            None => c.schedule_on(name, nodes[choice - warm.len()], now),
+                            None => c.schedule_on(id, nodes[choice - warm.len()], now),
                         }
                         .unwrap();
                         if outcome.is_cold_start() && *ready {
@@ -280,7 +293,7 @@ fn run_lockstep(ops: &[Op]) -> Result<(), String> {
                     }
                 }
             }
-            check_views_against_oracle(&c, &names)
+            check_views_against_oracle(&c, &ids)
                 .map_err(|reason| format!("after op {step} ({op:?}): {reason}"))?;
         }
         Ok(())
