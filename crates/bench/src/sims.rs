@@ -1186,6 +1186,9 @@ pub struct BenchRun {
     /// Sandbox records the controller's scheduling views examined over the
     /// run.
     pub view_sandboxes_scanned: u64,
+    /// Sorts the latency ledger performed for the report's percentile
+    /// queries: the report phase's work.
+    pub sorts_performed: u64,
     /// Wall-clock seconds spent generating the arrival trace.
     pub generate_seconds: f64,
     /// Wall-clock seconds spent constructing and running the simulation.
@@ -1242,16 +1245,17 @@ impl BenchRun {
         )
     }
 
-    /// The controller's work counters over the run: deterministic per
-    /// seed like [`BenchRun::deterministic_json`], but a measure of how much
-    /// work the engine did rather than of what it simulated, so a change
-    /// that makes the engine cheaper may move them where it may not move
-    /// the outcome.
+    /// The work counters over the run, the controller's and the report's:
+    /// deterministic per seed like [`BenchRun::deterministic_json`], but a
+    /// measure of how much work the engine did rather than of what it
+    /// simulated, so a change that makes the engine cheaper may move them
+    /// where it may not move the outcome.
     #[must_use]
     pub fn work_json(&self) -> String {
         format!(
-            "{{\n  \"index_ops\": {},\n  \"view_sandboxes_scanned\": {}\n}}",
-            self.index_ops, self.view_sandboxes_scanned,
+            "{{\n  \"index_ops\": {},\n  \"view_sandboxes_scanned\": {},\n  \
+             \"sorts_performed\": {}\n}}",
+            self.index_ops, self.view_sandboxes_scanned, self.sorts_performed,
         )
     }
 
@@ -1422,6 +1426,7 @@ fn timed_bench_run(
     let _ = result.sandbox_series.windowed_mean(window);
     let _ = result.memory_series.windowed_mean(window);
     let report_seconds = report_started.elapsed().as_secs_f64();
+    let sorts_performed = result.latency.sorts_performed();
 
     BenchRun {
         seed,
@@ -1438,6 +1443,7 @@ fn timed_bench_run(
         gb_seconds: result.gb_seconds,
         index_ops: result.index_ops,
         view_sandboxes_scanned: result.view_sandboxes_scanned,
+        sorts_performed,
         generate_seconds,
         simulate_seconds,
         report_seconds,

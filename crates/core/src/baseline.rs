@@ -19,19 +19,21 @@
 use sesemi_inference::ModelId;
 use sesemi_keyservice::PartyId;
 use sesemi_runtime::ServingStage;
+use std::ops::Deref;
 
 /// What a (warm) sandbox currently holds, from the point of view of one
 /// arriving request.
 ///
-/// Models are named by `M`: a [`ModelId`] by default, or any other key that
-/// tells models apart, such as the cluster simulator's dense model index.
-/// A strategy only compares models, so the key type changes nothing else.
+/// Models are named by `M` and users by `U`: a [`ModelId`] and a
+/// [`PartyId`] by default, or any other keys that tell them apart, such as
+/// the cluster simulator's dense model and user indices.  A strategy only
+/// compares keys, so the key types change nothing else.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SandboxWarmth<M = ModelId> {
+pub struct SandboxWarmth<M = ModelId, U = PartyId> {
     /// The enclave has been created and initialized.
     pub enclave_ready: bool,
     /// The keys cached inside the enclave, if any (user, model).
-    pub cached_keys: Option<(PartyId, M)>,
+    pub cached_keys: Option<(U, M)>,
     /// The decrypted model currently loaded in the enclave, if any.
     pub loaded_model: Option<M>,
     /// Whether the execution slot assigned to this request already has a
@@ -39,7 +41,7 @@ pub struct SandboxWarmth<M = ModelId> {
     pub slot_runtime_ready: bool,
 }
 
-impl<M> Default for SandboxWarmth<M> {
+impl<M, U> Default for SandboxWarmth<M, U> {
     fn default() -> Self {
         SandboxWarmth {
             enclave_ready: false,
@@ -50,7 +52,7 @@ impl<M> Default for SandboxWarmth<M> {
     }
 }
 
-impl<M: Clone> SandboxWarmth<M> {
+impl<M: Clone, U> SandboxWarmth<M, U> {
     /// A brand-new sandbox: nothing is ready.
     #[must_use]
     pub fn cold() -> Self {
@@ -59,13 +61,54 @@ impl<M: Clone> SandboxWarmth<M> {
 
     /// A fully hot sandbox for `(user, model)`.
     #[must_use]
-    pub fn hot(user: PartyId, model: M) -> Self {
+    pub fn hot(user: U, model: M) -> Self {
         SandboxWarmth {
             enclave_ready: true,
             cached_keys: Some((user, model.clone())),
             loaded_model: Some(model),
             slot_runtime_ready: true,
         }
+    }
+}
+
+/// The stages one invocation runs, in order.  At most
+/// [`StageList::CAPACITY`] (Native's full list), held inline, so choosing
+/// an invocation's stages allocates nothing.  Reads as a slice.
+#[derive(Clone, Copy, Debug)]
+pub struct StageList {
+    stages: [ServingStage; StageList::CAPACITY],
+    len: usize,
+}
+
+impl StageList {
+    /// The most stages one invocation runs.
+    pub const CAPACITY: usize = 8;
+
+    fn new() -> Self {
+        StageList {
+            // A filler past `len`, never read.
+            stages: [ServingStage::ModelExec; StageList::CAPACITY],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, stage: ServingStage) {
+        self.stages[self.len] = stage;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, stages: impl IntoIterator<Item = ServingStage>) {
+        for stage in stages {
+            self.push(stage);
+        }
+    }
+}
+
+impl Deref for StageList {
+    type Target = [ServingStage];
+
+    fn deref(&self) -> &[ServingStage] {
+        &self.stages[..self.len]
     }
 }
 
@@ -104,19 +147,19 @@ impl ServingStrategy {
     /// Which stages an invocation must execute, given what the sandbox
     /// already holds.
     #[must_use]
-    pub fn stages_for<M: PartialEq>(
+    pub fn stages_for<M: PartialEq, U: PartialEq>(
         self,
-        warmth: &SandboxWarmth<M>,
-        user: PartyId,
+        warmth: &SandboxWarmth<M, U>,
+        user: U,
         model: &M,
-    ) -> Vec<ServingStage> {
+    ) -> StageList {
         let keys_cached = warmth
             .cached_keys
             .as_ref()
             .is_some_and(|(cached_user, cached_model)| {
                 *cached_user == user && cached_model == model
             });
-        let mut stages = Vec::with_capacity(8);
+        let mut stages = StageList::new();
         let request_stages = [
             ServingStage::RequestDecrypt,
             ServingStage::ModelExec,
@@ -215,8 +258,8 @@ mod tests {
         let warmth = SandboxWarmth::hot(user(), model());
         let stages = ServingStrategy::Sesemi.stages_for(&warmth, user(), &model());
         assert_eq!(
-            stages,
-            vec![
+            stages[..],
+            [
                 ServingStage::RequestDecrypt,
                 ServingStage::ModelExec,
                 ServingStage::ResultEncrypt
@@ -282,7 +325,7 @@ mod tests {
         // With the model cached it is execution only.
         let warmth = SandboxWarmth::hot(user(), model());
         let stages = ServingStrategy::Untrusted.stages_for(&warmth, user(), &model());
-        assert_eq!(stages, vec![ServingStage::ModelExec]);
+        assert_eq!(stages[..], [ServingStage::ModelExec]);
     }
 
     #[test]
@@ -302,5 +345,51 @@ mod tests {
         let stages = ServingStrategy::Sesemi.stages_for(&warmth, other_user, &model());
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert!(!stages.contains(&ServingStage::ModelLoad));
+    }
+
+    #[test]
+    fn index_keys_pick_the_stages_name_keys_do() {
+        // The cluster simulator keys users and models by index.  Over every
+        // warmth a sandbox can hold, each strategy must pick the same stages
+        // as it does for the parties and models those indices stand for.
+        let users = [
+            user(),
+            PartyId::from_identity_key(&AeadKey::from_bytes([2u8; 16])),
+        ];
+        let models = [model(), ModelId::new("other")];
+        let strategies = [
+            ServingStrategy::Sesemi,
+            ServingStrategy::IsoReuse,
+            ServingStrategy::Native,
+            ServingStrategy::Untrusted,
+        ];
+        let pairs = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        for strategy in strategies {
+            for (ready, slot_ready) in pairs.map(|(a, b)| (a == 1, b == 1)) {
+                for cached in std::iter::once(None).chain(pairs.map(Some)) {
+                    for loaded in [None, Some(0), Some(1)] {
+                        let by_index = SandboxWarmth {
+                            enclave_ready: ready,
+                            cached_keys: cached,
+                            loaded_model: loaded,
+                            slot_runtime_ready: slot_ready,
+                        };
+                        let by_name = SandboxWarmth {
+                            enclave_ready: ready,
+                            cached_keys: cached.map(|(u, m)| (users[u], models[m].clone())),
+                            loaded_model: loaded.map(|m| models[m].clone()),
+                            slot_runtime_ready: slot_ready,
+                        };
+                        for (u, m) in pairs {
+                            assert_eq!(
+                                strategy.stages_for(&by_index, u, &m)[..],
+                                strategy.stages_for(&by_name, users[u], &models[m])[..],
+                                "{strategy:?} {by_index:?} for ({u}, {m})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

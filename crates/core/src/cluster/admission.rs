@@ -6,9 +6,10 @@
 //! p99 latency melts for *all* traffic instead of a sacrificial slice.  This
 //! module extracts the admission decision behind a policy trait, the same
 //! seam shape as [`super::lifecycle`]: the simulator assembles an
-//! [`AdmissionContext`] (queue depth, busy-slot ratio, per-tier backlog, and
-//! an estimated queueing delay derived from the busy-time integral), the
-//! policy returns an [`AdmissionVerdict`], and the simulator applies it.
+//! [`AdmissionContext`] (the queued requests, the execution slots, and an
+//! estimated queueing delay derived from the busy-time integral) for a
+//! policy that reads one, the policy returns an [`AdmissionVerdict`], and
+//! the simulator applies it.
 //!
 //! The policy is consulted **only for requests the cluster cannot serve
 //! immediately**: a request with a free compatible warm slot (or room to
@@ -51,8 +52,6 @@ pub struct AdmissionContext<'a> {
     /// Requests already parked behind the full cluster, oldest first.  The
     /// arriving request would join the back.
     pub queued: &'a [QueuedRequest],
-    /// Concurrent executions in flight right now, cluster-wide.
-    pub busy_slots: usize,
     /// Total execution slots the schedulable pool offers (containers of the
     /// largest action that fit per node, times per-container concurrency,
     /// times schedulable nodes) — the same yardstick the autoscaler uses.
@@ -128,12 +127,16 @@ pub trait AdmissionPolicy {
     /// Decides the fate of one saturated arrival.
     fn decide(&mut self, ctx: &AdmissionContext<'_>) -> AdmissionVerdict;
 
-    /// Whether [`AdmissionPolicy::decide`] reads [`AdmissionContext::queued`].
-    /// Assembling that snapshot copies the whole saturated queue — O(queue
-    /// depth) per consult, on a path that runs once per arrival under
-    /// saturation — so policies that never look at it (notably the default
-    /// admit-all) override this to `false` and receive an empty slice.
-    fn wants_queue_snapshot(&self) -> bool {
+    /// Whether [`AdmissionPolicy::decide`] reads the cluster's side of the
+    /// context: [`AdmissionContext::queued`], `execution_slots` and
+    /// `mean_service`.  Assembling them copies the whole saturated queue,
+    /// scans the nodes and derives the mean service time — on a path that
+    /// runs once per arrival under saturation — so a policy that decides on
+    /// the arrival alone (notably the default admit-all) overrides this to
+    /// `false`.  Its context then holds only the arrival's own fields
+    /// (`now`, `tier`, `deadline`): an empty `queued`, zero
+    /// `execution_slots` and a zero `mean_service`.
+    fn reads_context(&self) -> bool {
         true
     }
 }
@@ -194,7 +197,7 @@ impl AdmissionPolicy for AdmitAllAdmission {
         AdmissionVerdict::Admit
     }
 
-    fn wants_queue_snapshot(&self) -> bool {
+    fn reads_context(&self) -> bool {
         false
     }
 }
@@ -300,7 +303,6 @@ mod tests {
             tier: Tier::Standard,
             deadline: None,
             queued,
-            busy_slots: 1,
             execution_slots: 1,
             mean_service: SimDuration::from_millis(200),
         }
@@ -348,7 +350,6 @@ mod tests {
                 tier,
                 deadline,
                 queued: &queue,
-                busy_slots: (roll % 7) as usize,
                 execution_slots: (roll % 5) as usize,
                 mean_service: SimDuration::from_millis(roll % 900),
             };

@@ -72,16 +72,16 @@ use keyservice::KeyServiceSim;
 use sesemi_enclave::{EnclaveCostModel, SgxVersion};
 use sesemi_fnpacker::{FnPool, Router, RoutingStrategy};
 use sesemi_inference::{ModelId, ModelProfile};
-use sesemi_keyservice::PartyId;
 use sesemi_platform::{
-    metering::Metering, ActionId, ActionName, ActionSpec, ActivationId, ActivationRecord,
-    Controller, PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
+    metering::Metering, ActionId, ActionSpec, ActivationId, ActivationRecord, Controller,
+    PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
 };
 use sesemi_runtime::{InvocationReport, ServingStage};
-use sesemi_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
+use sesemi_sim::{EventQueue, FxHashMap, IdSlab, SimDuration, SimTime};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
 use state::{
-    Event, IndexedLedger, Invocation, ModelIndex, SandboxSimState, SimRequest, TraceBatch,
+    Event, IndexedLedger, Invocation, ModelIndex, SandboxSimState, SimRequest, TraceArrival,
+    TraceBatch,
 };
 use std::collections::VecDeque;
 
@@ -242,10 +242,12 @@ impl ClusterConfig {
 
 /// The cluster simulator.
 ///
-/// Its per-request path names models and actions by dense ids: the index
-/// `new` numbers each model with, and the controller's [`ActionId`].  Names
-/// are resolved once, where they enter: an arrival's model when it is
-/// delivered, the router's endpoint once per arrival.
+/// Its per-request path names everything by dense ids: models by the index
+/// `new` numbers each with, users by index, actions by the controller's
+/// [`ActionId`], router endpoints by their index and sandboxes by
+/// [`SandboxId`].  Names are resolved once, where they enter: a trace's
+/// models when [`ClusterSimulation::add_arrivals`] stores it, a session's
+/// or a prewarm's model when it is added.
 pub struct ClusterSimulation {
     config: ClusterConfig,
     cost_model: EnclaveCostModel,
@@ -255,14 +257,22 @@ pub struct ClusterSimulation {
     model_indices: FxHashMap<ModelId, ModelIndex>,
     /// Each model's calibrated costs, indexed by [`ModelIndex`].
     profiles: Vec<ModelProfile>,
+    /// Routes by model index and answers with an endpoint index.
     router: Box<dyn Router>,
+    /// The action deployed for each router endpoint, indexed by endpoint.
+    endpoint_actions: Vec<ActionId>,
+    /// The router endpoint each action was deployed for, indexed by
+    /// [`ActionId`].
+    action_endpoints: Vec<usize>,
     scheduler: Box<dyn Scheduler>,
     lifecycle: Box<dyn LifecyclePolicy>,
     admission: Box<dyn AdmissionPolicy>,
     controller: Controller,
     /// The models each action serves, indexed by [`ActionId`].
     action_models: Vec<Vec<ModelIndex>>,
-    sandbox_state: FxHashMap<SandboxId, SandboxSimState>,
+    /// Each live sandbox's simulated state, indexed by [`SandboxId`]: one
+    /// slot per sandbox the run ever creates (see [`IdSlab`]).
+    sandbox_state: IdSlab<SandboxSimState>,
     queue: EventQueue<Event>,
     /// The open-loop trace, one batch per [`ClusterSimulation::add_arrivals`]
     /// call, held beside `queue` rather than in it.
@@ -277,8 +287,10 @@ pub struct ClusterSimulation {
     /// (possibly thousands deep) queue once per failed action per pass.
     saturated_action_counts: Vec<usize>,
     sessions: Vec<InteractiveSession>,
-    users: Vec<PartyId>,
     node_active_exec: Vec<usize>,
+    /// Σ `node_active_exec`, kept beside it: the busy-time integral reads
+    /// it at every start and finish.
+    active_exec: usize,
     node_enclave_bytes: Vec<u64>,
     node_enclave_inits: Vec<usize>,
     /// Execution slots per node (largest-action containers that fit ×
@@ -342,37 +354,32 @@ impl ClusterSimulation {
         );
         let router = config.routing.build(&pool);
         // Number the models once: every per-model table below is indexed by
-        // the model's position in `models`.  A name listed twice resolves to
-        // its last entry, as collecting them into a map did.
+        // the model's position in `models`, which is also its index in the
+        // router's pool.  A name listed twice resolves to its last entry, as
+        // collecting them into a map did.
         let (model_ids, profiles): (Vec<ModelId>, Vec<ModelProfile>) = models.into_iter().unzip();
         let model_indices: FxHashMap<ModelId, ModelIndex> = model_ids
             .iter()
             .enumerate()
             .map(|(index, model)| (model.clone(), index))
             .collect();
-        let endpoints: Vec<(ActionName, u64, Vec<ModelIndex>)> = match config.routing {
-            // Each model's endpoint serves only that model, sized for it.
-            RoutingStrategy::OneToOne => model_ids
-                .iter()
-                .zip(&profiles)
-                .enumerate()
-                .map(|(index, (model, profile))| {
-                    (
-                        ActionName::new(format!("pool-{model}")),
-                        profile.enclave_bytes_for_concurrency(config.tcs_per_container),
-                        vec![index],
-                    )
-                })
-                .collect(),
-            RoutingStrategy::AllInOne | RoutingStrategy::FnPacker => router
-                .endpoints()
-                .into_iter()
-                .map(|action| (action, max_enclave_bytes, (0..model_ids.len()).collect()))
-                .collect(),
-        };
+        // Deploy one action per router endpoint.  A One-to-one endpoint
+        // serves only the model at its own index and is sized for it; a
+        // shared endpoint serves every model, sized for the largest.
+        let mut endpoint_actions = Vec::new();
+        let mut action_endpoints = Vec::new();
         let mut action_models: Vec<Vec<ModelIndex>> = Vec::new();
         let mut max_action_budget = 0;
-        for (action, enclave_bytes, served) in endpoints {
+        for (endpoint, action) in router.endpoints().into_iter().enumerate() {
+            let (enclave_bytes, served) = match config.routing {
+                RoutingStrategy::OneToOne => (
+                    profiles[endpoint].enclave_bytes_for_concurrency(config.tcs_per_container),
+                    vec![endpoint],
+                ),
+                RoutingStrategy::AllInOne | RoutingStrategy::FnPacker => {
+                    (max_enclave_bytes, (0..model_ids.len()).collect())
+                }
+            };
             let spec = ActionSpec::build(
                 action,
                 "sesemi/semirt".to_string(),
@@ -383,8 +390,11 @@ impl ClusterSimulation {
             let id = controller.register_action(spec).expect("fresh action");
             if action_models.len() <= id.index() {
                 action_models.resize_with(id.index() + 1, Vec::new);
+                action_endpoints.resize(id.index() + 1, 0);
             }
             action_models[id.index()] = served;
+            action_endpoints[id.index()] = endpoint;
+            endpoint_actions.push(id);
         }
 
         let nodes = config.nodes;
@@ -417,19 +427,21 @@ impl ClusterSimulation {
             model_indices,
             profiles,
             router,
+            endpoint_actions,
+            action_endpoints,
             scheduler,
             lifecycle,
             admission,
             controller,
             action_models,
-            sandbox_state: FxHashMap::default(),
+            sandbox_state: IdSlab::new(),
             queue: EventQueue::new(),
             trace: Vec::new(),
             saturated: VecDeque::new(),
             saturated_action_counts: vec![0; action_count],
             sessions: Vec::new(),
-            users: Vec::new(),
             node_active_exec: vec![0; nodes],
+            active_exec: 0,
             node_enclave_bytes: vec![0; nodes],
             node_enclave_inits: vec![0; nodes],
             slots_per_node,
@@ -467,19 +479,6 @@ impl ClusterSimulation {
             .unwrap_or_else(|| panic!("model {model} is not registered with the simulation"))
     }
 
-    fn user(&mut self, index: usize) -> PartyId {
-        while self.users.len() <= index {
-            let next = self.users.len() as u64;
-            let mut key = [0u8; 16];
-            key[..8].copy_from_slice(&next.to_le_bytes());
-            key[8] = 0xA5;
-            self.users.push(PartyId::from_identity_key(
-                &sesemi_crypto::aead::AeadKey::from_bytes(key),
-            ));
-        }
-        self.users[index]
-    }
-
     /// Adds a pre-generated open-loop arrival trace.
     ///
     /// The trace does not enter the event queue.  It is kept as one batch,
@@ -492,13 +491,45 @@ impl ClusterSimulation {
     /// `extract` calls never see the trace, and lose nothing by it: they
     /// match fault, completion and readiness events only, never an arrival.
     ///
+    /// Each arrival's model is resolved to its index here, once, so
+    /// delivering an arrival hashes no name.
+    ///
+    /// # Panics
+    /// Panics if an arrival names a model not registered with the
+    /// simulation.
+    ///
     /// [`run`]: ClusterSimulation::run
-    pub fn add_arrivals(&mut self, mut arrivals: Vec<RequestArrival>) {
-        arrivals.sort_by_key(|arrival| arrival.at);
-        let next_seq = self.queue.reserve(arrivals.len() as u64);
+    pub fn add_arrivals(&mut self, arrivals: Vec<RequestArrival>) {
+        // Converted in place: collecting a `map` over the trace's own
+        // `into_iter` reuses its buffer (a record is smaller than an
+        // arrival), so the trace is never held twice.  A trace names the
+        // same model run after run; a repeat of the last name skips the hash.
+        let mut last: Option<(ModelId, ModelIndex)> = None;
+        let mut records: Vec<TraceArrival> = arrivals
+            .into_iter()
+            .map(|arrival| {
+                let model = match &last {
+                    Some((name, index)) if *name == arrival.model => *index,
+                    _ => {
+                        let index = Self::model_index(&self.model_indices, &arrival.model);
+                        last = Some((arrival.model, index));
+                        index
+                    }
+                };
+                TraceArrival {
+                    at: arrival.at,
+                    model,
+                    user_index: arrival.user_index,
+                    tier: arrival.tier,
+                    deadline: arrival.deadline,
+                }
+            })
+            .collect();
+        records.sort_by_key(|arrival| arrival.at);
+        let next_seq = self.queue.reserve(records.len() as u64);
         self.trace.push(TraceBatch {
             next_seq,
-            arrivals: arrivals.into(),
+            arrivals: records.into(),
         });
     }
 
@@ -620,13 +651,9 @@ impl ClusterSimulation {
     /// Pre-warms `count` hot sandboxes for `model` (used by the single-node
     /// throughput sweep, which warms up the system before measuring).
     pub fn prewarm(&mut self, model: &ModelId, user_index: usize, count: usize) {
-        let user = self.user(user_index);
         let model_index = Self::model_index(&self.model_indices, model);
-        let endpoint = self.router.route(model, SimTime::ZERO);
-        let action = self
-            .controller
-            .action_id(&endpoint)
-            .expect("routers route to registered endpoints");
+        let endpoint = self.router.route(model_index, SimTime::ZERO);
+        let action = self.endpoint_actions[endpoint];
         for _ in 0..count {
             let outcome = match self.schedule_request(action, model_index, SimTime::ZERO) {
                 Ok(outcome) => outcome,
@@ -657,7 +684,7 @@ impl ClusterSimulation {
             state.ready = true;
             state.enclave_ready = self.config.strategy.reuses_enclave()
                 || self.config.strategy == ServingStrategy::Untrusted;
-            state.cached_keys = Some((user, model_index));
+            state.cached_keys = Some((user_index, model_index));
             state.loaded_model = Some(model_index);
             for slot in state.slot_models.iter_mut() {
                 *slot = Some(model_index);
@@ -671,10 +698,15 @@ impl ClusterSimulation {
             if outcome.is_cold_start() {
                 self.node_enclave_bytes[node] += state.enclave_bytes;
             }
-            self.sandbox_state.insert(sandbox_id, state);
+            self.sandbox_state.insert(sandbox_id.index(), state);
         }
-        self.router
-            .complete(model, &endpoint, SimTime::ZERO, SimDuration::ZERO, "hot");
+        self.router.complete(
+            model_index,
+            endpoint,
+            SimTime::ZERO,
+            SimDuration::ZERO,
+            "hot",
+        );
     }
 
     fn epc_pressure(&self, node: usize) -> f64 {
@@ -729,10 +761,18 @@ impl ClusterSimulation {
     /// to the `node_active_exec` counters so the integral charges the old
     /// occupancy level for the elapsed interval.
     fn accrue_busy_time(&mut self, now: SimTime) {
-        let active: usize = self.node_active_exec.iter().sum();
         self.busy_exec_integral +=
-            active as f64 * now.duration_since(self.busy_accrued_at).as_secs_f64();
+            self.active_exec as f64 * now.duration_since(self.busy_accrued_at).as_secs_f64();
         self.busy_accrued_at = now;
+    }
+
+    /// One execution on `node` finished or was cancelled: its counter and
+    /// the running total drop by one, never below zero.
+    fn release_exec(&mut self, node: usize) {
+        if let Some(active) = self.node_active_exec[node].checked_sub(1) {
+            self.node_active_exec[node] = active;
+            self.active_exec -= 1;
+        }
     }
 
     fn start_invocation(
@@ -744,10 +784,10 @@ impl ClusterSimulation {
     ) {
         let model = request.model;
         let profile = self.profiles[model];
-        let user = self.user(request.user_index);
+        let user = request.user_index;
         let state = self
             .sandbox_state
-            .get_mut(&sandbox_id)
+            .get_mut(sandbox_id.index())
             .expect("state tracked for every sandbox");
         let slot = state.free_slot().expect("controller enforces concurrency");
         let (node, action) = (state.node, state.action);
@@ -780,6 +820,7 @@ impl ClusterSimulation {
         // Node-level counters used by the pricing model.
         self.accrue_busy_time(now);
         self.node_active_exec[node] += 1;
+        self.active_exec += 1;
         if enclave_was_initialized {
             self.node_enclave_inits[node] += 1;
         }
@@ -870,9 +911,11 @@ impl ClusterSimulation {
             self.indexed_ledger
                 .record_warm_hits(request.model, 1 + extras.len() as u64);
         }
-        let entry = self.sandbox_state.entry(sandbox_id).or_insert_with(|| {
-            SandboxSimState::new(node, action, self.config.tcs_per_container, memory)
-        });
+        let entry = self
+            .sandbox_state
+            .get_or_insert_with(sandbox_id.index(), || {
+                SandboxSimState::new(node, action, self.config.tcs_per_container, memory)
+            });
         if is_cold {
             self.node_enclave_bytes[node] += entry.enclave_bytes;
             let user_index = request.user_index;
@@ -911,13 +954,9 @@ impl ClusterSimulation {
         // counts one pending response per routed request, balanced by the
         // one `complete()` a finished request fires — or by the `cancel()`
         // an admission rejection fires), so a queued request must carry its
-        // routed action through retries instead of being routed again.  The
-        // endpoint's name is resolved to its id here, once per arrival.
-        let endpoint = self.router.route(&self.models[request.model], now);
-        let action = self
-            .controller
-            .action_id(&endpoint)
-            .expect("routers route to registered endpoints");
+        // routed action through retries instead of being routed again.
+        let endpoint = self.router.route(request.model, now);
+        let action = self.endpoint_actions[endpoint];
         debug_assert!(
             self.action_models[action.index()].contains(&request.model),
             "router chose an endpoint that does not serve the model"
@@ -944,7 +983,7 @@ impl ClusterSimulation {
                     // leave no other trace — no latency sample, no
                     // per-model totals, no GB·s.
                     self.ledger.rejected += 1;
-                    self.router.cancel(&self.models[request.model], &endpoint);
+                    self.router.cancel(request.model, endpoint);
                 }
                 AdmissionVerdict::AdmitShedding { victim } => {
                     self.shed_queued(victim);
@@ -958,26 +997,35 @@ impl ClusterSimulation {
     }
 
     /// Consults the admission policy for one arrival the cluster cannot
-    /// serve immediately, assembling the placement context it decides on.
+    /// serve immediately, assembling the context it decides on — only the
+    /// arrival's own fields for a policy that reads no more
+    /// ([`AdmissionPolicy::reads_context`]).
     fn admission_verdict(&mut self, request: &SimRequest, now: SimTime) -> AdmissionVerdict {
+        if !self.admission.reads_context() {
+            return self.admission.decide(&AdmissionContext {
+                now,
+                tier: request.tier,
+                deadline: request.deadline,
+                queued: &[],
+                execution_slots: 0,
+                mean_service: SimDuration::ZERO,
+            });
+        }
         // Reuses a persistent scratch vector for the queue snapshot: the
         // consult runs once per arrival under saturation, and rebuilding the
         // snapshot in place keeps the allocator out of the admission path.
         let mut queued = std::mem::take(&mut self.admission_queued_scratch);
         queued.clear();
-        if self.admission.wants_queue_snapshot() {
-            queued.extend(self.saturated.iter().map(|(_, queued)| QueuedRequest {
-                tier: queued.tier,
-                deadline: queued.deadline,
-                submitted: queued.submitted,
-            }));
-        }
+        queued.extend(self.saturated.iter().map(|(_, queued)| QueuedRequest {
+            tier: queued.tier,
+            deadline: queued.deadline,
+            submitted: queued.submitted,
+        }));
         // Mean busy-slot time one request consumes, from the busy-time
         // integral (brought forward to `now` read-only — accruing here
         // would be harmless but this keeps the consult side-effect free).
-        let busy_slots: usize = self.node_active_exec.iter().sum();
         let busy_integral_now = self.busy_exec_integral
-            + busy_slots as f64 * now.duration_since(self.busy_accrued_at).as_secs_f64();
+            + self.active_exec as f64 * now.duration_since(self.busy_accrued_at).as_secs_f64();
         let mean_service = if self.ledger.completed > 0 {
             SimDuration::from_secs_f64(busy_integral_now / self.ledger.completed as f64)
         } else {
@@ -988,7 +1036,6 @@ impl ClusterSimulation {
             tier: request.tier,
             deadline: request.deadline,
             queued: &queued,
-            busy_slots,
             execution_slots: self.controller.active_node_count() * self.slots_per_node,
             mean_service,
         };
@@ -1014,10 +1061,8 @@ impl ClusterSimulation {
         Self::forget_saturated_entry(&mut self.saturated_action_counts, action);
         self.ledger.dropped += 1;
         self.ledger.shed += 1;
-        self.router.cancel(
-            &self.models[request.model],
-            &self.controller.action(action).name,
-        );
+        self.router
+            .cancel(request.model, self.action_endpoints[action.index()]);
     }
 
     /// Decrements the saturated-queue count of `action` after one of its
@@ -1093,7 +1138,7 @@ impl ClusterSimulation {
                         && !outcome.is_cold_start()
                         && self
                             .sandbox_state
-                            .get(&outcome.sandbox())
+                            .get(outcome.sandbox().index())
                             .is_some_and(|state| state.ready)
                     {
                         Self::absorb_batch_peers(
@@ -1202,11 +1247,11 @@ impl ClusterSimulation {
         self.next_activation += 1;
         self.metering.record_activation(&record);
         self.accrue_busy_time(now);
-        self.node_active_exec[node] = self.node_active_exec[node].saturating_sub(1);
+        self.release_exec(node);
         if done.enclave_was_initialized {
             self.node_enclave_inits[node] = self.node_enclave_inits[node].saturating_sub(1);
         }
-        if let Some(state) = self.sandbox_state.get_mut(&done.sandbox) {
+        if let Some(state) = self.sandbox_state.get_mut(done.sandbox.index()) {
             state.slot_busy[done.slot] = false;
             if !self.config.strategy.reuses_enclave()
                 && self.config.strategy != ServingStrategy::Untrusted
@@ -1226,10 +1271,9 @@ impl ClusterSimulation {
         // sample, path count, completed tick, router completion, and session
         // advance — so conservation and the latency ledgers hold per item.
         let path = done.path;
-        let endpoint = &self.controller.action(done.action).name;
+        let endpoint = self.action_endpoints[done.action.index()];
         for request in std::iter::once(done.request).chain(done.extra) {
             let latency = now.duration_since(request.submitted);
-            let model = &self.models[request.model];
             let ledger = &mut self.ledger;
             ledger.latency.record(latency);
             self.indexed_ledger
@@ -1237,15 +1281,17 @@ impl ClusterSimulation {
             ledger.latency_series.record(now, latency.as_secs_f64());
             ledger.completed += 1;
             self.router
-                .complete(model, endpoint, now, latency, path.label());
+                .complete(request.model, endpoint, now, latency, path.label());
 
             // Session bookkeeping: record the per-query latency and issue the
             // next query of the session immediately.
             if let Some(session_index) = request.session {
                 let session = &mut self.sessions[session_index];
-                ledger
-                    .session_latencies
-                    .push((session.name.clone(), model.clone(), latency));
+                ledger.session_latencies.push((
+                    session.name.clone(),
+                    self.models[request.model].clone(),
+                    latency,
+                ));
                 session.advance();
                 if let Some(next_model) = session.next_model() {
                     let model = Self::model_index(&self.model_indices, next_model);
@@ -1285,7 +1331,7 @@ impl ClusterSimulation {
         if self.controller.sandbox_ready(sandbox_id).is_err() {
             return; // evicted before it became ready
         }
-        if let Some(state) = self.sandbox_state.get_mut(&sandbox_id) {
+        if let Some(state) = self.sandbox_state.get_mut(sandbox_id.index()) {
             state.ready = true;
             let waiting: Vec<SimRequest> = state.waiting.drain(..).collect();
             for request in waiting {
@@ -1312,7 +1358,7 @@ impl ClusterSimulation {
         let mut rescued = Vec::new();
         for id in evicted {
             self.keyservice.complete(*id);
-            if let Some(mut state) = self.sandbox_state.remove(id) {
+            if let Some(mut state) = self.sandbox_state.remove(id.index()) {
                 self.node_enclave_bytes[state.node] =
                     self.node_enclave_bytes[state.node].saturating_sub(state.enclave_bytes);
                 while let Some(request) = state.waiting.pop_front() {
@@ -1357,7 +1403,7 @@ impl ClusterSimulation {
         for (_, event) in cancelled {
             if let Event::InvocationDone(done) = event {
                 let node = done.node;
-                self.node_active_exec[node] = self.node_active_exec[node].saturating_sub(1);
+                self.release_exec(node);
                 if done.enclave_was_initialized {
                     self.node_enclave_inits[node] = self.node_enclave_inits[node].saturating_sub(1);
                 }
@@ -1415,20 +1461,19 @@ impl ClusterSimulation {
 
     /// Failure injection: every container currently holding `model`'s state
     /// is killed (the processes die; their nodes survive).  Victims are
-    /// reclaimed in sandbox-id order for determinism; their requests are
-    /// re-queued and immediately retried — typically cold-starting fresh
-    /// containers on the same nodes.
+    /// reclaimed in sandbox-id order (the slab's) for determinism; their
+    /// requests are re-queued and immediately retried — typically
+    /// cold-starting fresh containers on the same nodes.
     fn handle_container_kill(&mut self, model: &ModelId, now: SimTime) {
         let Some(&model) = self.model_indices.get(model) else {
             return; // no container can hold an unregistered model
         };
-        let mut victims: Vec<SandboxId> = self
+        let victims: Vec<SandboxId> = self
             .sandbox_state
             .iter()
             .filter(|(_, state)| state.hosts_model(model))
-            .map(|(id, _)| *id)
+            .map(|(id, _)| SandboxId(id as u64))
             .collect();
-        victims.sort_unstable();
         if victims.is_empty() {
             return;
         }
@@ -1512,7 +1557,7 @@ impl ClusterSimulation {
         let views: Vec<EvictionCandidate> = candidates
             .into_iter()
             .map(|candidate| {
-                let state = self.sandbox_state.get(&candidate.sandbox);
+                let state = self.sandbox_state.get(candidate.sandbox.index());
                 let model = state
                     .and_then(SandboxSimState::warm_model)
                     .map(|model| self.models[model].clone());
@@ -1591,7 +1636,7 @@ impl ClusterSimulation {
         let mean_active_executions = if window > 0.0 {
             (self.busy_exec_integral - self.busy_integral_at_tick) / window
         } else {
-            self.node_active_exec.iter().sum::<usize>() as f64
+            self.active_exec as f64
         };
         self.busy_integral_at_tick = self.busy_exec_integral;
         self.last_autoscale_tick = now;
@@ -1669,9 +1714,10 @@ impl ClusterSimulation {
 
     /// Per-node drain-candidate views for the lifecycle policy: load from
     /// the controller, warm-pool value from the scheduler's score of each
-    /// container's model (summed in sandbox-id order).  Busy containers
-    /// count toward the pool value — a drain forfeits their warm state too,
-    /// as soon as their in-flight work finishes.
+    /// container's model (summed in sandbox-id order, the order
+    /// [`Controller::sandboxes`] yields).  Busy containers count toward the
+    /// pool value — a drain forfeits their warm state too, as soon as their
+    /// in-flight work finishes.
     fn drain_candidates(&self) -> Vec<DrainCandidate> {
         let memory_pressure = self.controller.node_memory_pressure();
         let mut nodes: Vec<DrainCandidate> = self
@@ -1687,9 +1733,7 @@ impl ClusterSimulation {
                 memory_pressure: memory_pressure.get(node).copied().unwrap_or(0.0),
             })
             .collect();
-        let mut live: Vec<&sesemi_platform::Sandbox> = self.controller.sandboxes().collect();
-        live.sort_unstable_by_key(|s| s.id);
-        for sandbox in live {
+        for sandbox in self.controller.sandboxes() {
             let Some(entry) = nodes.iter_mut().find(|n| n.node == sandbox.node) else {
                 continue; // draining/retired host: not a drain candidate
             };
@@ -1698,7 +1742,7 @@ impl ClusterSimulation {
             }
             entry.warm_pool_value += self
                 .sandbox_state
-                .get(&sandbox.id)
+                .get(sandbox.id.index())
                 .and_then(SandboxSimState::warm_model)
                 .map_or(0.5, |model| {
                     self.scheduler.warm_value(&self.models[model], sandbox.node)
@@ -1718,7 +1762,7 @@ impl ClusterSimulation {
             .filter(|s| s.node == victim)
             .filter_map(|s| {
                 self.sandbox_state
-                    .get(&s.id)
+                    .get(s.id.index())
                     .and_then(SandboxSimState::warm_model)
                     .map(|model| (s.action, model))
             })
@@ -1768,7 +1812,7 @@ impl ClusterSimulation {
             None
         };
         self.node_enclave_bytes[node] += state.enclave_bytes;
-        self.sandbox_state.insert(sandbox_id, state);
+        self.sandbox_state.insert(sandbox_id.index(), state);
         self.queue.push(
             now + self.config.sandbox_cold_start,
             Event::SandboxReady(sandbox_id),
@@ -1823,11 +1867,7 @@ impl ClusterSimulation {
         if batch.arrivals.is_empty() {
             self.trace.swap_remove(index);
         }
-        let model = Self::model_index(&self.model_indices, &arrival.model);
-        Some((
-            at,
-            Event::Arrival(SimRequest::from_arrival(&arrival, model)),
-        ))
+        Some((at, Event::Arrival(SimRequest::from_arrival(&arrival))))
     }
 
     /// Runs the simulation until `horizon` (events after the horizon are
@@ -3051,6 +3091,47 @@ mod tests {
     /// and folded into `SimulationResult`'s maps at its end.  The fold keys
     /// exactly the models and paths that received a sample: a registered
     /// model with no traffic, or a path no request took, gets no entry.
+    #[test]
+    fn an_interleaved_trace_resolves_each_arrival_to_its_own_model() {
+        // `add_arrivals` skips the name lookup when an arrival names the
+        // model the one before it named; names that alternate must still
+        // each land on their own model.
+        let profile = ModelProfile::paper(ModelKind::MbNet, Framework::Tvm);
+        let (a, b) = (ModelId::new("a"), ModelId::new("b"));
+        let models = vec![(a.clone(), profile), (b.clone(), profile)];
+        let mut sim = ClusterSimulation::new(ClusterConfig::multi_node_sgx2(), models);
+        let names = [&a, &a, &b, &a, &b, &b, &b, &a, &a];
+        sim.add_arrivals(
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, model)| {
+                    RequestArrival::new(SimTime::from_secs(i as u64 + 1), (*model).clone(), 0)
+                })
+                .collect(),
+        );
+        let result = sim.run(SimDuration::from_secs(30));
+        assert_eq!(result.per_model_latency[&a].count(), 5);
+        assert_eq!(result.per_model_latency[&b].count(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "model absent is not registered with the simulation")]
+    fn an_unregistered_model_panics_when_its_trace_is_added() {
+        let (model, profile) = profile(ModelKind::MbNet, Framework::Tvm);
+        let mut sim = ClusterSimulation::new(
+            ClusterConfig::single_node_sgx2(),
+            vec![(model.clone(), profile)],
+        );
+        let mut trace = poisson_trace(&model, 5.0, 10, 1);
+        trace.push(RequestArrival::new(
+            SimTime::from_secs(3),
+            ModelId::new("absent"),
+            0,
+        ));
+        sim.add_arrivals(trace);
+    }
+
     #[test]
     fn the_end_of_run_fold_keys_exactly_what_received_samples() {
         // Three models behind one All-in-one endpoint, traffic for two:

@@ -2,11 +2,10 @@
 //! sandbox caches and the aggregated [`SimulationResult`].
 
 use sesemi_inference::ModelId;
-use sesemi_keyservice::PartyId;
 use sesemi_platform::{ActionId, SandboxId};
 use sesemi_runtime::InvocationPath;
 use sesemi_sim::{LatencyStats, SimDuration, SimTime, TimeSeries};
-use sesemi_workload::{RequestArrival, Tier};
+use sesemi_workload::Tier;
 use std::collections::{HashMap, VecDeque};
 
 /// A registered model's index: its position in the model list
@@ -32,11 +31,10 @@ pub(super) struct SimRequest {
 }
 
 impl SimRequest {
-    /// An open-loop arrival for the model at `model`, submitted at its
-    /// arrival time.
-    pub(super) fn from_arrival(arrival: &RequestArrival, model: ModelIndex) -> Self {
+    /// An open-loop arrival, submitted at its arrival time.
+    pub(super) fn from_arrival(arrival: &TraceArrival) -> Self {
         SimRequest {
-            model,
+            model: arrival.model,
             user_index: arrival.user_index,
             submitted: arrival.at,
             session: None,
@@ -51,13 +49,26 @@ impl SimRequest {
     }
 }
 
+/// One open-loop arrival as the trace holds it: a
+/// [`RequestArrival`](sesemi_workload::RequestArrival) with its model
+/// resolved to an index when the trace was added, so delivering it hashes
+/// no name and drops no `Arc`.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct TraceArrival {
+    pub(super) at: SimTime,
+    pub(super) model: ModelIndex,
+    pub(super) user_index: usize,
+    pub(super) tier: Tier,
+    pub(super) deadline: Option<SimTime>,
+}
+
 /// One `add_arrivals` batch of the open-loop trace, held beside the event
 /// queue: its arrivals not yet delivered, in time order, under consecutive
 /// reserved insertion sequence numbers.
 pub(super) struct TraceBatch {
     /// The sequence number of the front arrival.
     pub(super) next_seq: u64,
-    pub(super) arrivals: VecDeque<RequestArrival>,
+    pub(super) arrivals: VecDeque<TraceArrival>,
 }
 
 /// One invocation in flight on a sandbox slot, from dispatch to completion.
@@ -122,7 +133,8 @@ pub(super) struct SandboxSimState {
     pub(super) action: ActionId,
     pub(super) ready: bool,
     pub(super) enclave_ready: bool,
-    pub(super) cached_keys: Option<(PartyId, ModelIndex)>,
+    /// The (user index, model) whose keys the enclave caches.
+    pub(super) cached_keys: Option<(usize, ModelIndex)>,
     pub(super) loaded_model: Option<ModelIndex>,
     pub(super) slot_models: Vec<Option<ModelIndex>>,
     pub(super) slot_busy: Vec<bool>,

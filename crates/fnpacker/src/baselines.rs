@@ -13,19 +13,28 @@ use crate::pool::FnPool;
 use sesemi_inference::ModelId;
 use sesemi_platform::ActionName;
 use sesemi_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// A routing strategy for multi-model serving.
+///
+/// A router names models and endpoints by index: a model by its position in
+/// the [`FnPool`] the router was built from, an endpoint by its position in
+/// [`Router::endpoints`].  A caller that numbers its models in pool order
+/// and its deployed actions in endpoint order routes without touching a
+/// name.
 pub trait Router {
-    /// Routes a request for `model` at `now` and returns the endpoint action
-    /// to invoke.
-    fn route(&mut self, model: &ModelId, now: SimTime) -> ActionName;
+    /// Routes a request for the pool's model at index `model` at `now` and
+    /// returns the index of the endpoint to invoke.
+    ///
+    /// # Panics
+    /// Panics if `model` is not an index into the pool's models.
+    fn route(&mut self, model: usize, now: SimTime) -> usize;
 
-    /// Records a completed request (used by adaptive strategies).
+    /// Records a completed request for model `model` on endpoint `endpoint`
+    /// (used by adaptive strategies).
     fn complete(
         &mut self,
-        model: &ModelId,
-        endpoint: &ActionName,
+        model: usize,
+        endpoint: usize,
         now: SimTime,
         latency: SimDuration,
         path: &str,
@@ -35,14 +44,15 @@ pub trait Router {
     /// will never complete.  Stateless strategies ignore it; adaptive ones
     /// release the pending slot [`Router::route`] took without recording a
     /// completion or latency sample.
-    fn cancel(&mut self, model: &ModelId, endpoint: &ActionName) {
+    fn cancel(&mut self, model: usize, endpoint: usize) {
         let _ = (model, endpoint);
     }
 
     /// Human-readable strategy name for experiment output.
     fn name(&self) -> &'static str;
 
-    /// The endpoint actions this strategy needs deployed.
+    /// The endpoint actions this strategy needs deployed, in endpoint-index
+    /// order.
     fn endpoints(&self) -> Vec<ActionName>;
 }
 
@@ -86,10 +96,10 @@ impl RoutingStrategy {
     }
 }
 
-/// One endpoint per model.
+/// One endpoint per model: endpoint `i` serves the pool's model `i`.
 #[derive(Debug)]
 pub struct OneToOneRouter {
-    endpoints: HashMap<ModelId, ActionName>,
+    endpoints: Vec<ActionName>,
 }
 
 impl OneToOneRouter {
@@ -99,24 +109,25 @@ impl OneToOneRouter {
         let endpoints = pool
             .models
             .iter()
-            .map(|m| (m.clone(), ActionName::new(format!("{}-{}", pool.name, m))))
+            .map(|m| ActionName::new(format!("{}-{}", pool.name, m)))
             .collect();
         OneToOneRouter { endpoints }
     }
 }
 
 impl Router for OneToOneRouter {
-    fn route(&mut self, model: &ModelId, _now: SimTime) -> ActionName {
-        self.endpoints
-            .get(model)
-            .cloned()
-            .unwrap_or_else(|| panic!("model {model} not deployed"))
+    fn route(&mut self, model: usize, _now: SimTime) -> usize {
+        assert!(
+            model < self.endpoints.len(),
+            "model {model} is not deployed"
+        );
+        model
     }
 
     fn complete(
         &mut self,
-        _model: &ModelId,
-        _endpoint: &ActionName,
+        _model: usize,
+        _endpoint: usize,
         _now: SimTime,
         _latency: SimDuration,
         _path: &str,
@@ -128,9 +139,7 @@ impl Router for OneToOneRouter {
     }
 
     fn endpoints(&self) -> Vec<ActionName> {
-        let mut endpoints: Vec<ActionName> = self.endpoints.values().cloned().collect();
-        endpoints.sort();
-        endpoints
+        self.endpoints.clone()
     }
 }
 
@@ -151,14 +160,14 @@ impl AllInOneRouter {
 }
 
 impl Router for AllInOneRouter {
-    fn route(&mut self, _model: &ModelId, _now: SimTime) -> ActionName {
-        self.endpoint.clone()
+    fn route(&mut self, _model: usize, _now: SimTime) -> usize {
+        0
     }
 
     fn complete(
         &mut self,
-        _model: &ModelId,
-        _endpoint: &ActionName,
+        _model: usize,
+        _endpoint: usize,
         _now: SimTime,
         _latency: SimDuration,
         _path: &str,
@@ -174,26 +183,24 @@ impl Router for AllInOneRouter {
     }
 }
 
-/// Adapter exposing [`FnPacker`] through the [`Router`] interface.
+/// Adapter exposing [`FnPacker`] through the [`Router`] interface.  The
+/// packer's endpoint indices are the router's, and a model index names the
+/// pool's model at that position.
 #[derive(Debug)]
 pub struct FnPackerRouter {
     packer: FnPacker,
-    action_to_index: HashMap<ActionName, usize>,
+    /// The pool's models, kept beside the packer so a route can lend one
+    /// to it without a clone.
+    models: Vec<ModelId>,
 }
 
 impl FnPackerRouter {
     /// Creates the adapter.
     #[must_use]
     pub fn new(pool: FnPool) -> Self {
-        let action_to_index = pool
-            .endpoint_actions()
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (a, i))
-            .collect();
         FnPackerRouter {
+            models: pool.models.clone(),
             packer: FnPacker::new(pool),
-            action_to_index,
         }
     }
 
@@ -205,28 +212,24 @@ impl FnPackerRouter {
 }
 
 impl Router for FnPackerRouter {
-    fn route(&mut self, model: &ModelId, now: SimTime) -> ActionName {
-        let index = self.packer.route(model, now);
-        self.packer.endpoint_action(index)
+    fn route(&mut self, model: usize, now: SimTime) -> usize {
+        self.packer.route(&self.models[model], now)
     }
 
     fn complete(
         &mut self,
-        model: &ModelId,
-        endpoint: &ActionName,
+        model: usize,
+        endpoint: usize,
         now: SimTime,
         latency: SimDuration,
         path: &str,
     ) {
-        if let Some(index) = self.action_to_index.get(endpoint) {
-            self.packer.complete(model, *index, now, latency, path);
-        }
+        self.packer
+            .complete(&self.models[model], endpoint, now, latency, path);
     }
 
-    fn cancel(&mut self, model: &ModelId, endpoint: &ActionName) {
-        if let Some(index) = self.action_to_index.get(endpoint) {
-            self.packer.cancel(model, *index);
-        }
+    fn cancel(&mut self, model: usize, endpoint: usize) {
+        self.packer.cancel(&self.models[model], endpoint);
     }
 
     fn name(&self) -> &'static str {
@@ -254,20 +257,29 @@ mod tests {
     #[test]
     fn one_to_one_gives_each_model_its_own_endpoint() {
         let mut router = OneToOneRouter::new(&pool());
-        let e0 = router.route(&ModelId::new("m0"), SimTime::ZERO);
-        let e1 = router.route(&ModelId::new("m1"), SimTime::ZERO);
+        let e0 = router.route(0, SimTime::ZERO);
+        let e1 = router.route(1, SimTime::ZERO);
         assert_ne!(e0, e1);
-        assert_eq!(router.endpoints().len(), 3);
         assert_eq!(router.name(), "One-to-one");
+        // Endpoint i is model i's, named after it.
+        let endpoints = router.endpoints();
+        assert_eq!(endpoints.len(), 3);
+        assert_eq!(endpoints[e1].as_str(), "p-m1");
         // Routing is stable.
-        assert_eq!(router.route(&ModelId::new("m0"), SimTime::from_secs(9)), e0);
+        assert_eq!(router.route(0, SimTime::from_secs(9)), e0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not deployed")]
+    fn one_to_one_refuses_a_model_past_the_pool() {
+        let _ = OneToOneRouter::new(&pool()).route(3, SimTime::ZERO);
     }
 
     #[test]
     fn all_in_one_uses_a_single_endpoint() {
         let mut router = AllInOneRouter::new(&pool());
-        let e0 = router.route(&ModelId::new("m0"), SimTime::ZERO);
-        let e1 = router.route(&ModelId::new("m2"), SimTime::ZERO);
+        let e0 = router.route(0, SimTime::ZERO);
+        let e1 = router.route(2, SimTime::ZERO);
         assert_eq!(e0, e1);
         assert_eq!(router.endpoints().len(), 1);
         assert_eq!(router.name(), "All-in-one");
@@ -289,7 +301,12 @@ mod tests {
     #[test]
     fn fnpacker_router_tracks_completions_through_the_adapter() {
         let mut router = FnPackerRouter::new(pool());
-        let endpoint = router.route(&ModelId::new("m0"), SimTime::from_secs(1));
+        let endpoint = router.route(0, SimTime::from_secs(1));
+        assert_eq!(
+            router.endpoints()[endpoint],
+            router.packer().endpoint_action(endpoint),
+            "the router's endpoint index is the packer's"
+        );
         let pending = |router: &FnPackerRouter, model: &str| {
             router
                 .packer()
@@ -299,8 +316,8 @@ mod tests {
         assert_eq!(pending(&router, "m0"), Some(1));
         assert_eq!(pending(&router, "zzz"), None);
         router.complete(
-            &ModelId::new("m0"),
-            &endpoint,
+            0,
+            endpoint,
             SimTime::from_secs(2),
             SimDuration::from_millis(400),
             "hot",
@@ -308,5 +325,12 @@ mod tests {
         let stats = router.packer().model_stats(&ModelId::new("m0")).unwrap();
         assert_eq!(stats.completed, 1);
         assert_eq!(pending(&router, "m0"), Some(0));
+        // A cancelled route releases its pending slot without a completion.
+        let endpoint = router.route(2, SimTime::from_secs(3));
+        assert_eq!(pending(&router, "m2"), Some(1));
+        router.cancel(2, endpoint);
+        assert_eq!(pending(&router, "m2"), Some(0));
+        let stats = router.packer().model_stats(&ModelId::new("m2")).unwrap();
+        assert_eq!(stats.completed, 0);
     }
 }

@@ -118,7 +118,11 @@ impl Layer {
             }
             Layer::DenseBlock { branch } => {
                 let branch_out = output_dim_of(branch, input_dim, layer_index)?;
-                Ok(input_dim + branch_out)
+                input_dim.checked_add(branch_out).ok_or_else(|| {
+                    InferenceError::MalformedModel(format!(
+                        "layer {layer_index}: dense block output too wide"
+                    ))
+                })
             }
             Layer::Softmax => Ok(input_dim),
         }

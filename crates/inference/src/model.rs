@@ -195,7 +195,7 @@ impl ModelGraph {
         }
         let name = cursor.read_string()?;
         let input_dim = cursor.read_u64()? as usize;
-        let layer_count = cursor.read_u32()? as usize;
+        let layer_count = cursor.read_count()?;
         if layer_count > 1_000_000 {
             return Err(InferenceError::MalformedModel(
                 "unreasonable layer count".to_string(),
@@ -316,9 +316,15 @@ fn read_layer(cursor: &mut Cursor<'_>, depth: usize) -> Result<Layer, InferenceE
             let rows = cursor.read_u32()? as usize;
             let cols = cursor.read_u32()? as usize;
             let activation = Activation::from_tag(cursor.read_u8()?)?;
+            // The weights and the bias, 4 bytes each, must all be there
+            // before anything is allocated for them.
             let count = rows.checked_mul(cols).ok_or_else(|| {
                 InferenceError::MalformedModel("weight matrix too large".to_string())
             })?;
+            let parameters = count.checked_add(rows).ok_or_else(|| {
+                InferenceError::MalformedModel("weight matrix too large".to_string())
+            })?;
+            cursor.ensure_items(parameters, 4)?;
             let mut data = Vec::with_capacity(count);
             for _ in 0..count {
                 data.push(cursor.read_f32()?);
@@ -334,7 +340,7 @@ fn read_layer(cursor: &mut Cursor<'_>, depth: usize) -> Result<Layer, InferenceE
             })
         }
         1 | 2 => {
-            let count = cursor.read_u32()? as usize;
+            let count = cursor.read_count()?;
             if count > 10_000 {
                 return Err(InferenceError::MalformedModel(
                     "unreasonable branch length".to_string(),
@@ -385,6 +391,30 @@ impl<'a> Cursor<'a> {
     fn read_u32(&mut self) -> Result<u32, InferenceError> {
         let bytes = self.take(4)?;
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+    }
+
+    /// Fails unless `items` items of `item_bytes` bytes each are left: the
+    /// check a count read from the blob passes before anything is
+    /// allocated for it.
+    fn ensure_items(&self, items: usize, item_bytes: usize) -> Result<(), InferenceError> {
+        let left = self.bytes.len() - self.offset;
+        if items
+            .checked_mul(item_bytes)
+            .map_or(true, |needed| needed > left)
+        {
+            return Err(InferenceError::MalformedModel(format!(
+                "{items} items of {item_bytes} bytes claimed, {left} bytes left"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Reads a `u32` count of items that take at least one byte each,
+    /// bounded by the bytes left.
+    fn read_count(&mut self) -> Result<usize, InferenceError> {
+        let count = self.read_u32()? as usize;
+        self.ensure_items(count, 1)?;
+        Ok(count)
     }
 
     fn read_u64(&mut self) -> Result<u64, InferenceError> {
@@ -534,6 +564,93 @@ mod tests {
         assert_eq!(id.as_str(), "hospital/diagnosis-v2");
         assert_eq!(id.to_string(), "hospital/diagnosis-v2");
         assert!(format!("{id:?}").contains("hospital"));
+    }
+
+    /// The header of a blob holding one layer, up to that layer.
+    fn one_layer_header() -> Vec<u8> {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(MAGIC);
+        blob.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        write_string(&mut blob, "claims");
+        blob.extend_from_slice(&4u64.to_le_bytes());
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn counts_past_the_bytes_left_are_refused_before_allocating() {
+        // A dense layer of 2^24 × 2^24 weights would reserve 4 PiB; asking
+        // for that before checking the bytes left aborted the process.
+        let mut dense = one_layer_header();
+        dense.push(0);
+        dense.extend_from_slice(&(1u32 << 24).to_le_bytes());
+        dense.extend_from_slice(&(1u32 << 24).to_le_bytes());
+        dense.push(Activation::Relu.tag());
+        dense.extend_from_slice(&[0u8; 64]);
+        // A layer count and a branch length past the bytes left.
+        let mut layers = one_layer_header();
+        let at = layers.len() - 4;
+        layers[at..].copy_from_slice(&999_999u32.to_le_bytes());
+        layers.push(3);
+        let mut branch = one_layer_header();
+        branch.push(2);
+        branch.extend_from_slice(&9_999u32.to_le_bytes());
+        branch.push(3);
+        for blob in [dense, layers, branch] {
+            assert!(
+                matches!(
+                    ModelGraph::from_bytes(&blob),
+                    Err(InferenceError::MalformedModel(_))
+                ),
+                "{blob:?}"
+            );
+        }
+    }
+
+    /// A small zoo model of each kind, serialized once per process.
+    fn zoo_blobs() -> &'static [Vec<u8>] {
+        static BLOBS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        BLOBS.get_or_init(|| {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            crate::zoo::ModelKind::ALL
+                .iter()
+                .map(|kind| kind.generate(0.0001, &mut rng).to_bytes())
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bit flips, a length field overwritten with `0x7fffffff` or
+        /// `u32::MAX`, and truncation, alone or together, of a zoo model's
+        /// bytes: the parser returns a model or a typed error, and never
+        /// panics or aborts.
+        #[test]
+        fn mutated_zoo_blobs_never_panic_the_parser(
+            kind in 0usize..3,
+            flips in proptest::collection::vec(0u64..u64::MAX, 0..6),
+            overwrite in 0u64..u64::MAX,
+            cut in 0u64..u64::MAX,
+        ) {
+            let mut bytes = zoo_blobs()[kind].clone();
+            let len = bytes.len() as u64;
+            for flip in flips {
+                let bit = (flip % (len * 8)) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            if overwrite % 2 == 0 {
+                let at = ((overwrite >> 2) % (len - 3)) as usize;
+                let value = if overwrite & 2 == 0 { 0x7fff_ffff } else { u32::MAX };
+                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            if cut % 2 == 0 {
+                bytes.truncate(((cut >> 1) % len) as usize);
+            }
+            let parsed = std::panic::catch_unwind(|| ModelGraph::from_bytes(&bytes));
+            prop_assert!(parsed.is_ok(), "from_bytes panicked on {} mutated bytes", bytes.len());
+        }
     }
 
     proptest! {

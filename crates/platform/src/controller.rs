@@ -29,7 +29,7 @@ use crate::action::{ActionId, ActionName, ActionSpec};
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
 use crate::sandbox::{Sandbox, SandboxId, SandboxState};
-use sesemi_sim::{FxHashMap, SimTime};
+use sesemi_sim::{FxHashMap, IdSlab, SimTime};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
@@ -133,8 +133,7 @@ impl NodeSnapshot {
 /// An idle container the lifecycle layer may reclaim right now, with the
 /// facts an eviction policy decides on.  Produced by
 /// [`Controller::idle_candidates`] in ascending sandbox-id order, so policy
-/// decisions built from this view are deterministic by construction —
-/// hash-map iteration order can never leak into reclaim decisions.
+/// decisions built from this view are deterministic by construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdleCandidate {
     /// The idle sandbox.
@@ -234,7 +233,13 @@ pub struct Controller {
     actions: Vec<ActionSpec>,
     /// The naming edge: each registered name's id.
     action_ids: FxHashMap<ActionName, ActionId>,
-    sandboxes: FxHashMap<SandboxId, Sandbox>,
+    /// Live sandboxes, indexed by [`SandboxId`]: ids are handed out in
+    /// order from zero, so the slab holds one slot per sandbox ever created
+    /// and iterates in ascending id order.
+    sandboxes: IdSlab<Sandbox>,
+    /// Σ `memory_used` over the nodes, kept beside them so the per-event
+    /// [`Controller::committed_memory_bytes`] read is O(1).
+    committed_memory: u64,
     /// Live sandbox count of each action per node: indexed by [`ActionId`],
     /// then by `NodeId`.  A node past the end of an action's vector hosts
     /// none of it.
@@ -270,7 +275,8 @@ impl Controller {
             nodes,
             actions: Vec::new(),
             action_ids: FxHashMap::default(),
-            sandboxes: FxHashMap::default(),
+            sandboxes: IdSlab::new(),
+            committed_memory: 0,
             action_node_sandboxes: Vec::new(),
             next_sandbox_id: 0,
             total_cold_starts: 0,
@@ -381,7 +387,10 @@ impl Controller {
     /// is maintained incrementally; the volatile fields — `last_used`,
     /// `still_starting` — are read fresh at query time).
     fn materialize_candidate(&self, id: SandboxId) -> WarmCandidate {
-        let sandbox = &self.sandboxes[&id];
+        let sandbox = self
+            .sandboxes
+            .get(id.index())
+            .expect("indexed sandboxes are live");
         WarmCandidate {
             sandbox: sandbox.id,
             node: sandbox.node,
@@ -415,7 +424,7 @@ impl Controller {
     ) -> Result<ScheduleOutcome, PlatformError> {
         let sandbox = self
             .sandboxes
-            .get_mut(&candidate.sandbox)
+            .get_mut(candidate.sandbox.index())
             .ok_or(PlatformError::UnknownSandbox(candidate.sandbox.0))?;
         if !sandbox.has_free_slot() {
             return Err(PlatformError::InvalidSandboxState {
@@ -467,6 +476,7 @@ impl Controller {
         self.next_sandbox_id += 1;
         let host = &mut self.nodes[node];
         host.memory_used += memory_bytes;
+        self.committed_memory += memory_bytes;
         host.total_sandboxes += 1;
         host.active_invocations += 1;
         let counts = &mut self.action_node_sandboxes[action.index()];
@@ -479,7 +489,7 @@ impl Controller {
         let mut sandbox = Sandbox::new(id, action, node, memory_bytes, concurrency, now);
         sandbox.assign(now);
         let has_free_slot = sandbox.has_free_slot();
-        self.sandboxes.insert(id, sandbox);
+        self.sandboxes.insert(id.index(), sandbox);
         self.total_cold_starts += 1;
         // The node was Active a moment ago (`fits`), so the slot decides.
         self.set_warm_membership(action, id, has_free_slot);
@@ -514,7 +524,7 @@ impl Controller {
     pub fn sandbox_ready(&mut self, id: SandboxId) -> Result<(), PlatformError> {
         let sandbox = self
             .sandboxes
-            .get_mut(&id)
+            .get_mut(id.index())
             .ok_or(PlatformError::UnknownSandbox(id.0))?;
         sandbox.mark_running();
         Ok(())
@@ -528,7 +538,7 @@ impl Controller {
     ) -> Result<(), PlatformError> {
         let sandbox = self
             .sandboxes
-            .get_mut(&id)
+            .get_mut(id.index())
             .ok_or(PlatformError::UnknownSandbox(id.0))?;
         if sandbox.is_idle() {
             return Err(PlatformError::InvalidSandboxState {
@@ -554,13 +564,12 @@ impl Controller {
     /// the facts an eviction policy needs (keep-alive expiry, node drain
     /// state).  This is the candidate view external lifecycle policies
     /// decide over; hand the chosen subset back via
-    /// [`Controller::reclaim_sandboxes`].  The sort makes any policy built
+    /// [`Controller::reclaim_sandboxes`].  The order makes any policy built
     /// on this view deterministic by construction.
     #[must_use]
     pub fn idle_candidates(&self, now: SimTime) -> Vec<IdleCandidate> {
         let keep_alive = self.config.container_keep_alive;
-        let mut candidates: Vec<IdleCandidate> = self
-            .sandboxes
+        self.sandboxes
             .values()
             .filter(|s| s.is_idle())
             .map(|s| IdleCandidate {
@@ -571,9 +580,7 @@ impl Controller {
                 expired: s.keep_alive_expired(now, keep_alive),
                 node_draining: self.nodes[s.node].state == NodeState::Draining,
             })
-            .collect();
-        candidates.sort_unstable_by_key(|candidate| candidate.sandbox);
-        candidates
+            .collect()
     }
 
     /// Applies an external eviction verdict: reclaims exactly the listed
@@ -584,7 +591,7 @@ impl Controller {
         for id in ids {
             let sandbox = self
                 .sandboxes
-                .get(id)
+                .get(id.index())
                 .ok_or(PlatformError::UnknownSandbox(id.0))?;
             if !sandbox.is_idle() {
                 return Err(PlatformError::InvalidSandboxState {
@@ -616,9 +623,10 @@ impl Controller {
 
     fn reclaim(&mut self, ids: &[SandboxId]) {
         for id in ids {
-            if let Some(sandbox) = self.sandboxes.remove(id) {
+            if let Some(sandbox) = self.sandboxes.remove(id.index()) {
                 let node = &mut self.nodes[sandbox.node];
                 node.memory_used = node.memory_used.saturating_sub(sandbox.memory_bytes);
+                self.committed_memory -= sandbox.memory_bytes;
                 node.total_sandboxes -= 1;
                 node.active_invocations -= sandbox.active;
                 self.action_node_sandboxes[sandbox.action.index()][sandbox.node] -= 1;
@@ -642,8 +650,9 @@ impl Controller {
 
     /// Starts draining a node (scale-in): the node refuses every new
     /// placement and warm assignment from this call on, its idle containers
-    /// are reclaimed immediately (their ids are returned so callers can drop
-    /// per-sandbox bookkeeping), and busy containers finish their in-flight
+    /// are reclaimed immediately (their ids are returned, in ascending
+    /// order, so callers can drop per-sandbox bookkeeping), and busy
+    /// containers finish their in-flight
     /// work and are then listed by [`Controller::idle_candidates`] with
     /// `node_draining` set, for the lifecycle policy to reclaim.
     /// Draining an already-draining node is a no-op; draining a retired or
@@ -710,13 +719,12 @@ impl Controller {
                 })
             }
         }
-        let mut victims: Vec<SandboxId> = self
+        let victims: Vec<SandboxId> = self
             .sandboxes
             .values()
             .filter(|s| s.node == node)
             .map(|s| s.id)
             .collect();
-        victims.sort_unstable();
         self.reclaim(&victims);
         self.nodes[node].state = NodeState::Retired;
         Ok(victims)
@@ -726,7 +734,7 @@ impl Controller {
     /// injection: the container process was killed).  In-flight work on it
     /// is the caller's to re-queue or account as lost.
     pub fn kill_sandbox(&mut self, id: SandboxId) -> Result<(), PlatformError> {
-        if !self.sandboxes.contains_key(&id) {
+        if self.sandboxes.get(id.index()).is_none() {
             return Err(PlatformError::UnknownSandbox(id.0));
         }
         self.reclaim(&[id]);
@@ -833,11 +841,11 @@ impl Controller {
     /// Read access to a sandbox.
     pub fn sandbox(&self, id: SandboxId) -> Result<&Sandbox, PlatformError> {
         self.sandboxes
-            .get(&id)
+            .get(id.index())
             .ok_or(PlatformError::UnknownSandbox(id.0))
     }
 
-    /// All live sandboxes (any state).
+    /// All live sandboxes (any state), in ascending id order.
     pub fn sandboxes(&self) -> impl Iterator<Item = &Sandbox> {
         self.sandboxes.values()
     }
@@ -858,7 +866,7 @@ impl Controller {
     /// Total memory committed to containers across the cluster.
     #[must_use]
     pub fn committed_memory_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.memory_used).sum()
+        self.committed_memory
     }
 
     /// Total cold starts since creation.

@@ -8,6 +8,15 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SandboxId(pub u64);
 
+impl SandboxId {
+    /// The id as an index into per-sandbox tables.  The controller hands
+    /// ids out in order from zero, so such a table can be a slab.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 impl fmt::Display for SandboxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sandbox-{}", self.0)

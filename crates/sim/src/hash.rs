@@ -1,10 +1,11 @@
 //! A fixed, fast hasher for the simulator's internal maps.
 //!
-//! The cluster simulator looks up sandbox ids, action names and model ids
-//! several times per event.  `std`'s default hasher, SipHash, resists keys
-//! chosen to collide, which these ids do not need, so the simulator's
-//! private maps use [`FxHashMap`] instead: rustc's FxHash, one rotate, one
-//! xor and one multiply per word of input.
+//! The cluster simulator resolves action names and model ids to dense ids
+//! where they enter: when an action is registered, a trace is added or a
+//! session starts.  `std`'s default hasher, SipHash, resists keys chosen to
+//! collide, which these names do not need, so the simulator's private
+//! name-to-id maps use [`FxHashMap`] instead: rustc's FxHash, one rotate,
+//! one xor and one multiply per word of input.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -18,8 +19,8 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 ///
 /// It is safe only where the simulator uses it.  An unkeyed hash lets
 /// whoever picks the keys force collisions, but every key these maps see is
-/// an id the simulator creates itself (sandbox ids, action names, model
-/// ids), never bytes from outside the program.  And no simulated output
+/// a name the simulator's configuration creates (action names, model ids),
+/// never bytes from outside the program.  And no simulated output
 /// depends on map iteration order: none can, because `std`'s `RandomState`
 /// reseeds in every process while every golden stays byte-identical across
 /// processes.

@@ -8,8 +8,9 @@
 //! ([`SimTime`] / [`SimDuration`]), a deterministic event queue
 //! ([`EventQueue`]), seeded random-number helpers ([`SimRng`]), metric
 //! sinks ([`metrics::LatencyStats`], [`metrics::TimeSeries`],
-//! [`metrics::GbSecondMeter`]) and a fixed fast hasher for the simulator's
-//! internal maps ([`FxHashMap`]).  The actual cluster model — invokers,
+//! [`metrics::GbSecondMeter`]), a fixed fast hasher for the simulator's
+//! internal maps ([`FxHashMap`]) and a table indexed by dense ids
+//! ([`IdSlab`]).  The actual cluster model — invokers,
 //! sandboxes, enclaves, FnPacker — lives in the higher-level crates and is
 //! driven as an ordinary state machine by popping events from the queue.
 //!
@@ -39,10 +40,12 @@ pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod rng;
+mod slab;
 pub mod time;
 
 pub use hash::{FxHashMap, FxHasher};
 pub use metrics::{GbSecondMeter, LatencyStats, TimeSeries};
 pub use queue::EventQueue;
 pub use rng::SimRng;
+pub use slab::IdSlab;
 pub use time::{SimDuration, SimTime};

@@ -127,9 +127,11 @@ fn bench_document_parses_with_both_sections_and_nonzero_requests_per_sec() {
     assert!(json.contains("\"peak_rss_bytes\""));
     // Each section carries its work counters in a block of their own,
     // after `deterministic` and outside it, so CI can extract each block
-    // by its first closing brace.
+    // by its first closing brace.  The report's three percentile queries
+    // share one sort of the latency ledger.
     for run in [&well, &saturated] {
         assert!(run.index_ops > 0 && run.view_sandboxes_scanned > 0);
+        assert_eq!(run.sorts_performed, 1);
         assert!(json.contains(&run.work_json().replace('\n', "\n    ")));
         assert!(!run.deterministic_json().contains("index_ops"));
     }

@@ -1,14 +1,15 @@
 //! Lockstep oracle suite for the controller's incremental scheduling views.
 //!
-//! The warm-candidate index and the per-node occupancy counters are pure
-//! derived state: after *every* lifecycle transition they must equal what a
-//! fresh scan over the sandbox map would compute.  This suite drives random
-//! op sequences (dispatch / ready / finish / evict / drain / crash / kill /
-//! add / remove, across several actions and a changing node pool) through a
-//! controller, calling the same entry points the cluster simulator calls,
-//! and re-derives every indexed view from the public sandbox iterator after
-//! each op.  A divergence shrinks to a 1-minimal op sequence with the same
-//! greedy delta-debugging the scenario corpus uses.
+//! The warm-candidate index, the per-node occupancy counters and the
+//! running totals are pure derived state: after *every* lifecycle transition
+//! they must equal what a fresh scan over the sandboxes would compute.  This
+//! suite drives random op sequences (dispatch / ready / finish / evict /
+//! drain / crash / kill / add / remove, across several actions and a
+//! changing node pool) through a controller, calling the same entry points
+//! the cluster simulator calls, and re-derives every indexed view and total
+//! from the public sandbox iterator after each op.  A divergence shrinks to
+//! a 1-minimal op sequence with the same greedy delta-debugging the
+//! scenario corpus uses.
 
 #[path = "support/shrink.rs"]
 mod shrink;
@@ -154,6 +155,26 @@ fn check_views_against_oracle(c: &Controller, ids: &[ActionId]) -> Result<(), St
                 c.fits_anywhere(bytes)
             ));
         }
+    }
+    // The running totals, and the slab's order: ascending ids, so every view
+    // built by walking the sandboxes is deterministic without a sort.
+    let ids: Vec<SandboxId> = c.sandboxes().map(|s| s.id).collect();
+    if !ids.windows(2).all(|pair| pair[0] < pair[1]) {
+        return Err(format!("sandboxes() is not in ascending id order: {ids:?}"));
+    }
+    if c.sandbox_count() != ids.len() {
+        return Err(format!(
+            "sandbox_count diverged: indexed {} oracle {}",
+            c.sandbox_count(),
+            ids.len()
+        ));
+    }
+    let committed: u64 = c.sandboxes().map(|s| s.memory_bytes).sum();
+    if c.committed_memory_bytes() != committed {
+        return Err(format!(
+            "committed_memory_bytes diverged: indexed {} oracle {committed}",
+            c.committed_memory_bytes()
+        ));
     }
     let serving = c.sandboxes().filter(|s| !s.is_idle()).count();
     if c.serving_sandbox_count() != serving {
