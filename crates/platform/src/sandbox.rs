@@ -10,10 +10,12 @@ pub struct SandboxId(pub u64);
 
 impl SandboxId {
     /// The id as an index into per-sandbox tables.  The controller hands
-    /// ids out in order from zero, so such a table can be a slab.
+    /// ids out in order from zero, so such a table can be a slab.  An id
+    /// past `usize` (on a 32-bit target) maps to `usize::MAX`, which no
+    /// table reaches, rather than wrapping onto a live sandbox.
     #[must_use]
     pub fn index(self) -> usize {
-        self.0 as usize
+        usize::try_from(self.0).unwrap_or(usize::MAX)
     }
 }
 
