@@ -71,9 +71,9 @@ impl<M: Clone, U> SandboxWarmth<M, U> {
     }
 }
 
-/// The stages one invocation runs, in order.  At most
-/// [`StageList::CAPACITY`] (Native's full list), held inline, so choosing
-/// an invocation's stages allocates nothing.  Reads as a slice.
+/// The stages one invocation runs, in order: at most eight (Native's full
+/// list), held inline, so choosing an invocation's stages allocates
+/// nothing.  Reads as a slice.
 #[derive(Clone, Copy, Debug)]
 pub struct StageList {
     stages: [ServingStage; StageList::CAPACITY],
@@ -81,8 +81,7 @@ pub struct StageList {
 }
 
 impl StageList {
-    /// The most stages one invocation runs.
-    pub const CAPACITY: usize = 8;
+    const CAPACITY: usize = 8;
 
     fn new() -> Self {
         StageList {

@@ -3087,10 +3087,6 @@ mod tests {
         assert_eq!(stock.check(), Ok(()));
     }
 
-    /// The per-model and per-path ledgers are kept by index during the run
-    /// and folded into `SimulationResult`'s maps at its end.  The fold keys
-    /// exactly the models and paths that received a sample: a registered
-    /// model with no traffic, or a path no request took, gets no entry.
     #[test]
     fn an_interleaved_trace_resolves_each_arrival_to_its_own_model() {
         // `add_arrivals` skips the name lookup when an arrival names the
@@ -3132,6 +3128,10 @@ mod tests {
         sim.add_arrivals(trace);
     }
 
+    /// The per-model and per-path ledgers are kept by index during the run
+    /// and folded into `SimulationResult`'s maps at its end.  The fold keys
+    /// exactly the models and paths that received a sample: a registered
+    /// model with no traffic, or a path no request took, gets no entry.
     #[test]
     fn the_end_of_run_fold_keys_exactly_what_received_samples() {
         // Three models behind one All-in-one endpoint, traffic for two:
