@@ -16,43 +16,28 @@
 //! serving stages this invocation must run*; the cluster simulator prices the
 //! stages with the calibrated [`sesemi_inference::StageCosts`].
 
-use sesemi_inference::ModelId;
-use sesemi_keyservice::PartyId;
 use sesemi_runtime::ServingStage;
 use std::ops::Deref;
 
 /// What a (warm) sandbox currently holds, from the point of view of one
 /// arriving request.
 ///
-/// Models are named by `M` and users by `U`: a [`ModelId`] and a
-/// [`PartyId`] by default, or any other keys that tell them apart, such as
-/// the cluster simulator's dense model and user indices.  A strategy only
-/// compares keys, so the key types change nothing else.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SandboxWarmth<M = ModelId, U = PartyId> {
+/// Users and models are named by the cluster simulator's dense user and
+/// model indices.  A strategy only compares them.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SandboxWarmth {
     /// The enclave has been created and initialized.
     pub enclave_ready: bool,
     /// The keys cached inside the enclave, if any (user, model).
-    pub cached_keys: Option<(U, M)>,
+    pub cached_keys: Option<(usize, usize)>,
     /// The decrypted model currently loaded in the enclave, if any.
-    pub loaded_model: Option<M>,
+    pub loaded_model: Option<usize>,
     /// Whether the execution slot assigned to this request already has a
     /// model runtime initialized for the target model.
     pub slot_runtime_ready: bool,
 }
 
-impl<M, U> Default for SandboxWarmth<M, U> {
-    fn default() -> Self {
-        SandboxWarmth {
-            enclave_ready: false,
-            cached_keys: None,
-            loaded_model: None,
-            slot_runtime_ready: false,
-        }
-    }
-}
-
-impl<M: Clone, U> SandboxWarmth<M, U> {
+impl SandboxWarmth {
     /// A brand-new sandbox: nothing is ready.
     #[must_use]
     pub fn cold() -> Self {
@@ -61,10 +46,10 @@ impl<M: Clone, U> SandboxWarmth<M, U> {
 
     /// A fully hot sandbox for `(user, model)`.
     #[must_use]
-    pub fn hot(user: U, model: M) -> Self {
+    pub fn hot(user: usize, model: usize) -> Self {
         SandboxWarmth {
             enclave_ready: true,
-            cached_keys: Some((user, model.clone())),
+            cached_keys: Some((user, model)),
             loaded_model: Some(model),
             slot_runtime_ready: true,
         }
@@ -146,18 +131,8 @@ impl ServingStrategy {
     /// Which stages an invocation must execute, given what the sandbox
     /// already holds.
     #[must_use]
-    pub fn stages_for<M: PartialEq, U: PartialEq>(
-        self,
-        warmth: &SandboxWarmth<M, U>,
-        user: U,
-        model: &M,
-    ) -> StageList {
-        let keys_cached = warmth
-            .cached_keys
-            .as_ref()
-            .is_some_and(|(cached_user, cached_model)| {
-                *cached_user == user && cached_model == model
-            });
+    pub fn stages_for(self, warmth: &SandboxWarmth, user: usize, model: usize) -> StageList {
+        let keys_cached = warmth.cached_keys == Some((user, model));
         let mut stages = StageList::new();
         let request_stages = [
             ServingStage::RequestDecrypt,
@@ -168,7 +143,7 @@ impl ServingStrategy {
             ServingStrategy::Untrusted => {
                 // No enclave and no crypto; model load / runtime init only if
                 // the process does not have the model yet.
-                if warmth.loaded_model.as_ref() != Some(model) {
+                if warmth.loaded_model != Some(model) {
                     stages.push(ServingStage::ModelLoad);
                 }
                 if !warmth.slot_runtime_ready {
@@ -209,11 +184,11 @@ impl ServingStrategy {
                 if !keys_cached {
                     stages.push(ServingStage::KeyFetch);
                 }
-                if warmth.loaded_model.as_ref() != Some(model) {
+                if warmth.loaded_model != Some(model) {
                     stages.push(ServingStage::ModelLoad);
                     stages.push(ServingStage::ModelDecrypt);
                 }
-                if !warmth.slot_runtime_ready || warmth.loaded_model.as_ref() != Some(model) {
+                if !warmth.slot_runtime_ready || warmth.loaded_model != Some(model) {
                     stages.push(ServingStage::RuntimeInit);
                 }
                 stages.extend(request_stages);
@@ -240,22 +215,18 @@ impl ServingStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sesemi_crypto::aead::AeadKey;
     use sesemi_runtime::InvocationPath;
     use sesemi_runtime::InvocationReport;
 
-    fn user() -> PartyId {
-        PartyId::from_identity_key(&AeadKey::from_bytes([1u8; 16]))
-    }
-
-    fn model() -> ModelId {
-        ModelId::new("mbnet")
-    }
+    const USER: usize = 0;
+    const OTHER_USER: usize = 1;
+    const MODEL: usize = 0;
+    const OTHER_MODEL: usize = 1;
 
     #[test]
     fn sesemi_hot_sandbox_runs_only_request_stages() {
-        let warmth = SandboxWarmth::hot(user(), model());
-        let stages = ServingStrategy::Sesemi.stages_for(&warmth, user(), &model());
+        let warmth = SandboxWarmth::hot(USER, MODEL);
+        let stages = ServingStrategy::Sesemi.stages_for(&warmth, USER, MODEL);
         assert_eq!(
             stages[..],
             [
@@ -269,7 +240,7 @@ mod tests {
 
     #[test]
     fn sesemi_cold_sandbox_runs_everything() {
-        let stages = ServingStrategy::Sesemi.stages_for(&SandboxWarmth::cold(), user(), &model());
+        let stages = ServingStrategy::Sesemi.stages_for(&SandboxWarmth::cold(), USER, MODEL);
         assert!(stages.contains(&ServingStage::EnclaveInit));
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert!(stages.contains(&ServingStage::ModelLoad));
@@ -280,11 +251,11 @@ mod tests {
     fn sesemi_model_switch_reloads_model_but_not_enclave() {
         let warmth = SandboxWarmth {
             enclave_ready: true,
-            cached_keys: Some((user(), ModelId::new("other"))),
-            loaded_model: Some(ModelId::new("other")),
+            cached_keys: Some((USER, OTHER_MODEL)),
+            loaded_model: Some(OTHER_MODEL),
             slot_runtime_ready: true,
         };
-        let stages = ServingStrategy::Sesemi.stages_for(&warmth, user(), &model());
+        let stages = ServingStrategy::Sesemi.stages_for(&warmth, USER, MODEL);
         assert!(!stages.contains(&ServingStage::EnclaveInit));
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert!(stages.contains(&ServingStage::ModelLoad));
@@ -294,8 +265,8 @@ mod tests {
 
     #[test]
     fn iso_reuse_always_reloads_model_and_runtime() {
-        let warmth = SandboxWarmth::hot(user(), model());
-        let stages = ServingStrategy::IsoReuse.stages_for(&warmth, user(), &model());
+        let warmth = SandboxWarmth::hot(USER, MODEL);
+        let stages = ServingStrategy::IsoReuse.stages_for(&warmth, USER, MODEL);
         assert!(!stages.contains(&ServingStage::EnclaveInit));
         assert!(!stages.contains(&ServingStage::KeyFetch));
         assert!(stages.contains(&ServingStage::ModelLoad));
@@ -304,8 +275,8 @@ mod tests {
 
     #[test]
     fn native_never_reuses_the_enclave() {
-        let warmth = SandboxWarmth::hot(user(), model());
-        let stages = ServingStrategy::Native.stages_for(&warmth, user(), &model());
+        let warmth = SandboxWarmth::hot(USER, MODEL);
+        let stages = ServingStrategy::Native.stages_for(&warmth, USER, MODEL);
         assert!(stages.contains(&ServingStage::EnclaveInit));
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert_eq!(InvocationReport::classify(&stages), InvocationPath::Cold);
@@ -315,15 +286,14 @@ mod tests {
 
     #[test]
     fn untrusted_has_no_enclave_or_crypto_stages() {
-        let stages =
-            ServingStrategy::Untrusted.stages_for(&SandboxWarmth::cold(), user(), &model());
+        let stages = ServingStrategy::Untrusted.stages_for(&SandboxWarmth::cold(), USER, MODEL);
         assert!(!stages.contains(&ServingStage::EnclaveInit));
         assert!(!stages.contains(&ServingStage::KeyFetch));
         assert!(!stages.contains(&ServingStage::RequestDecrypt));
         assert!(stages.contains(&ServingStage::ModelExec));
         // With the model cached it is execution only.
-        let warmth = SandboxWarmth::hot(user(), model());
-        let stages = ServingStrategy::Untrusted.stages_for(&warmth, user(), &model());
+        let warmth = SandboxWarmth::hot(USER, MODEL);
+        let stages = ServingStrategy::Untrusted.stages_for(&warmth, USER, MODEL);
         assert_eq!(stages[..], [ServingStage::ModelExec]);
     }
 
@@ -339,56 +309,9 @@ mod tests {
     fn key_cache_is_per_user_in_sesemi() {
         // A request from a *different* user on a hot sandbox must re-fetch
         // keys (the enclave caches only one (uid, Moid) pair).
-        let warmth = SandboxWarmth::hot(user(), model());
-        let other_user = PartyId::from_identity_key(&AeadKey::from_bytes([2u8; 16]));
-        let stages = ServingStrategy::Sesemi.stages_for(&warmth, other_user, &model());
+        let warmth = SandboxWarmth::hot(USER, MODEL);
+        let stages = ServingStrategy::Sesemi.stages_for(&warmth, OTHER_USER, MODEL);
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert!(!stages.contains(&ServingStage::ModelLoad));
-    }
-
-    #[test]
-    fn index_keys_pick_the_stages_name_keys_do() {
-        // The cluster simulator keys users and models by index.  Over every
-        // warmth a sandbox can hold, each strategy must pick the same stages
-        // as it does for the parties and models those indices stand for.
-        let users = [
-            user(),
-            PartyId::from_identity_key(&AeadKey::from_bytes([2u8; 16])),
-        ];
-        let models = [model(), ModelId::new("other")];
-        let strategies = [
-            ServingStrategy::Sesemi,
-            ServingStrategy::IsoReuse,
-            ServingStrategy::Native,
-            ServingStrategy::Untrusted,
-        ];
-        let pairs = [(0, 0), (0, 1), (1, 0), (1, 1)];
-        for strategy in strategies {
-            for (ready, slot_ready) in pairs.map(|(a, b)| (a == 1, b == 1)) {
-                for cached in std::iter::once(None).chain(pairs.map(Some)) {
-                    for loaded in [None, Some(0), Some(1)] {
-                        let by_index = SandboxWarmth {
-                            enclave_ready: ready,
-                            cached_keys: cached,
-                            loaded_model: loaded,
-                            slot_runtime_ready: slot_ready,
-                        };
-                        let by_name = SandboxWarmth {
-                            enclave_ready: ready,
-                            cached_keys: cached.map(|(u, m)| (users[u], models[m].clone())),
-                            loaded_model: loaded.map(|m| models[m].clone()),
-                            slot_runtime_ready: slot_ready,
-                        };
-                        for (u, m) in pairs {
-                            assert_eq!(
-                                strategy.stages_for(&by_index, u, &m)[..],
-                                strategy.stages_for(&by_name, users[u], &models[m])[..],
-                                "{strategy:?} {by_index:?} for ({u}, {m})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -247,7 +247,8 @@ impl ClusterConfig {
 /// [`ActionId`], router endpoints by their index and sandboxes by
 /// [`SandboxId`].  Names are resolved once, where they enter: a trace's
 /// models when [`ClusterSimulation::add_arrivals`] stores it, a session's
-/// or a prewarm's model when it is added.
+/// models when [`ClusterSimulation::add_session`] stores it, and a
+/// prewarm's model when it is added.
 pub struct ClusterSimulation {
     config: ClusterConfig,
     cost_model: EnclaveCostModel,
@@ -286,7 +287,9 @@ pub struct ClusterSimulation {
     /// unplaceable action strands in O(1), instead of re-walking the
     /// (possibly thousands deep) queue once per failed action per pass.
     saturated_action_counts: Vec<usize>,
-    sessions: Vec<InteractiveSession>,
+    /// Each closed-loop session beside its models' indices, resolved when
+    /// the session is added.
+    sessions: Vec<(InteractiveSession, Vec<ModelIndex>)>,
     node_active_exec: Vec<usize>,
     /// Σ `node_active_exec`, kept beside it: the busy-time integral reads
     /// it at every start and finish.
@@ -502,27 +505,15 @@ impl ClusterSimulation {
     pub fn add_arrivals(&mut self, arrivals: Vec<RequestArrival>) {
         // Converted in place: collecting a `map` over the trace's own
         // `into_iter` reuses its buffer (a record is smaller than an
-        // arrival), so the trace is never held twice.  A trace names the
-        // same model run after run; a repeat of the last name skips the hash.
-        let mut last: Option<(ModelId, ModelIndex)> = None;
+        // arrival), so the trace is never held twice.
         let mut records: Vec<TraceArrival> = arrivals
             .into_iter()
-            .map(|arrival| {
-                let model = match &last {
-                    Some((name, index)) if *name == arrival.model => *index,
-                    _ => {
-                        let index = Self::model_index(&self.model_indices, &arrival.model);
-                        last = Some((arrival.model, index));
-                        index
-                    }
-                };
-                TraceArrival {
-                    at: arrival.at,
-                    model,
-                    user_index: arrival.user_index,
-                    tier: arrival.tier,
-                    deadline: arrival.deadline,
-                }
+            .map(|arrival| TraceArrival {
+                at: arrival.at,
+                model: Self::model_index(&self.model_indices, &arrival.model),
+                user_index: arrival.user_index,
+                tier: arrival.tier,
+                deadline: arrival.deadline,
             })
             .collect();
         records.sort_by_key(|arrival| arrival.at);
@@ -562,17 +553,26 @@ impl ClusterSimulation {
     }
 
     /// Adds a closed-loop interactive session.
+    ///
+    /// The session's models are resolved to their indices here, once, so
+    /// issuing its next query hashes no name.
+    ///
+    /// # Panics
+    /// Panics if the session names a model not registered with the
+    /// simulation.
     pub fn add_session(&mut self, session: InteractiveSession) {
         let index = self.sessions.len();
         let start = session.start;
-        let first_model = Self::model_index(
-            &self.model_indices,
-            session
-                .next_model()
-                .expect("sessions have at least one model"),
-        );
+        let models: Vec<ModelIndex> = session
+            .models
+            .iter()
+            .map(|model| Self::model_index(&self.model_indices, model))
+            .collect();
+        let first_model = *models
+            .get(session.completed())
+            .expect("sessions have at least one model");
         let user_index = session.user_index;
-        self.sessions.push(session);
+        self.sessions.push((session, models));
         self.queue.push(
             start,
             Event::Arrival(SimRequest {
@@ -798,7 +798,7 @@ impl ClusterSimulation {
             loaded_model: state.loaded_model,
             slot_runtime_ready: state.slot_models[slot] == Some(model),
         };
-        let stages = self.config.strategy.stages_for(&warmth, user, &model);
+        let stages = self.config.strategy.stages_for(&warmth, user, model);
         let path = InvocationReport::classify(&stages);
         let enclave_was_initialized = stages.contains(&ServingStage::EnclaveInit);
 
@@ -1286,15 +1286,15 @@ impl ClusterSimulation {
             // Session bookkeeping: record the per-query latency and issue the
             // next query of the session immediately.
             if let Some(session_index) = request.session {
-                let session = &mut self.sessions[session_index];
+                let (session, models) = &mut self.sessions[session_index];
                 ledger.session_latencies.push((
                     session.name.clone(),
                     self.models[request.model].clone(),
                     latency,
                 ));
                 session.advance();
-                if let Some(next_model) = session.next_model() {
-                    let model = Self::model_index(&self.model_indices, next_model);
+                // The completed count is the position of the next model.
+                if let Some(&model) = models.get(session.completed()) {
                     let user_index = session.user_index;
                     self.queue.push(
                         now,
@@ -2217,6 +2217,13 @@ mod tests {
             .session_latencies
             .iter()
             .all(|(name, _, latency)| name == "Session 1" && *latency > SimDuration::ZERO));
+        // The session queried its models in order.
+        let queried: Vec<&ModelId> = result
+            .session_latencies
+            .iter()
+            .map(|(_, model, _)| model)
+            .collect();
+        assert_eq!(queried, models.iter().map(|(m, _)| m).collect::<Vec<_>>());
     }
 
     #[test]
@@ -3126,6 +3133,23 @@ mod tests {
             0,
         ));
         sim.add_arrivals(trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "model absent is not registered with the simulation")]
+    fn an_unregistered_session_model_panics_when_the_session_is_added() {
+        let (model, profile) = profile(ModelKind::MbNet, Framework::Tvm);
+        let mut sim = ClusterSimulation::new(
+            ClusterConfig::single_node_sgx2(),
+            vec![(model.clone(), profile)],
+        );
+        // Only the session's second model is unregistered.
+        sim.add_session(InteractiveSession::new(
+            "s",
+            SimTime::from_secs(1),
+            vec![model, ModelId::new("absent")],
+            0,
+        ));
     }
 
     /// The per-model and per-path ledgers are kept by index during the run

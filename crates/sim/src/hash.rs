@@ -1,8 +1,8 @@
 //! A fixed, fast hasher for the simulator's internal maps.
 //!
 //! The cluster simulator resolves action names and model ids to dense ids
-//! where they enter: when an action is registered, a trace is added or a
-//! session starts.  `std`'s default hasher, SipHash, resists keys chosen to
+//! where they enter: when an action is registered, a trace or a session is
+//! added, a model is prewarmed or a container-kill fault fires.  `std`'s default hasher, SipHash, resists keys chosen to
 //! collide, which these names do not need, so the simulator's private
 //! name-to-id maps use [`FxHashMap`] instead: rustc's FxHash, one rotate,
 //! one xor and one multiply per word of input.
