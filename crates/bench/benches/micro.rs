@@ -1,6 +1,7 @@
 //! Micro-benchmarks and ablations on the real (non-simulated) components:
-//! AEAD throughput, X25519 key generation and Diffie–Hellman (the RA-TLS
-//! handshake's cost), one `KEY_PROVISIONING` fetch over a full attested
+//! AEAD throughput, SHA-256 on a bulk and a one-block message, the RA-TLS
+//! key schedule's HKDF, X25519 key generation and Diffie–Hellman (the
+//! RA-TLS handshake's cost), one `KEY_PROVISIONING` fetch over a full attested
 //! handshake and over a resumed one (the `keyservice` group), the SeMIRT hot
 //! path and the warm path's KeyService key fetch on a scaled-down model,
 //! `MODEL_EXEC` and `RUNTIME_INIT` on full-size MBNET (the `inference`
@@ -10,13 +11,14 @@
 //! implementations rather than the calibrated cost model, and include one
 //! design ablation (FnPacker's exclusivity release interval).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesemi::deployment::Deployment;
 use sesemi::keyservice::{KeyService, OwnerClient, PartyId, UserClient};
 use sesemi::semirt::{InvocationPath, KeyProvider, KeyServiceProvider, SemirtConfig};
 use sesemi_crypto::aead::{Aead, AeadKey, Nonce};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
 use sesemi_crypto::gcm::Aes128Gcm;
+use sesemi_crypto::hkdf::{hkdf_extract, Prk};
 use sesemi_crypto::rng::SessionRng;
 use sesemi_crypto::sha256::sha256;
 use sesemi_crypto::x25519::EphemeralKeyPair;
@@ -60,6 +62,23 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| chacha.seal(&nonce, &payload, b"model"))
     });
     group.bench_function("sha256_64KiB", |b| b.iter(|| sha256(&payload)));
+    // The RA-TLS key schedule hashes one to five blocks per call: one 64-byte
+    // message is two blocks with its padding.
+    group.bench_function("sha256_64B", |b| {
+        b.iter(|| sha256(black_box(&payload[..64])))
+    });
+    // `KeySchedule::derive`'s shape: one extract, then three 32-byte expands
+    // under the one PRK.
+    group.bench_function("hkdf_extract_expand3", |b| {
+        b.iter(|| {
+            let prk = Prk::new(&hkdf_extract(black_box(&[1u8; 32]), black_box(&[2u8; 32])));
+            let mut keys = [[0u8; 32]; 3];
+            for (key, label) in keys.iter_mut().zip([&b"send"[..], b"recv", b"resume"]) {
+                prk.expand(label, key);
+            }
+            keys
+        })
+    });
     group.bench_function("x25519_diffie_hellman", |b| {
         let mut rng = SessionRng::from_seed(1);
         let alice = EphemeralKeyPair::generate(&mut rng);

@@ -5,7 +5,7 @@
 //! extract-and-expand construction for that derivation.
 
 use crate::hmac::HmacSha256;
-use crate::sha256::DIGEST_LEN;
+use crate::sha256::{Digest, DIGEST_LEN};
 
 /// HKDF-Extract: turns input keying material into a pseudo-random key.
 #[must_use]
@@ -20,32 +20,56 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     *mac.finalize().as_bytes()
 }
 
+/// An HKDF pseudo-random key with HMAC already keyed by it, so expanding
+/// several labels, or several blocks of one, keys HMAC once.
+#[derive(Clone)]
+pub struct Prk {
+    mac: HmacSha256,
+}
+
+impl Prk {
+    /// Keys HMAC with the pseudo-random key `prk`.
+    #[must_use]
+    pub fn new(prk: &[u8; DIGEST_LEN]) -> Self {
+        Prk {
+            mac: HmacSha256::new(prk),
+        }
+    }
+
+    /// HKDF-Expand: fills `out` with output keying material bound to `info`.
+    ///
+    /// # Panics
+    /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit);
+    /// all callers in this workspace request far less.
+    pub fn expand(&self, info: &[u8], out: &mut [u8]) {
+        assert!(
+            out.len() <= 255 * DIGEST_LEN,
+            "HKDF-Expand output limited to 255 blocks"
+        );
+        // T(i) = HMAC(PRK, T(i - 1) || info || i), with T(0) empty.
+        let mut previous: Option<Digest> = None;
+        for (chunk, counter) in out.chunks_mut(DIGEST_LEN).zip(1u8..=255) {
+            let mut mac = self.mac.clone();
+            if let Some(previous) = &previous {
+                mac.update(previous);
+            }
+            mac.update(info).update([counter]);
+            let block = mac.finalize();
+            chunk.copy_from_slice(&block.as_bytes()[..chunk.len()]);
+            previous = Some(block);
+        }
+    }
+}
+
 /// HKDF-Expand: expands a pseudo-random key into `out.len()` bytes of output
-/// keying material bound to `info`.
+/// keying material bound to `info`.  To expand several labels under one key,
+/// key a [`Prk`] once instead.
 ///
 /// # Panics
 /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit); all
 /// callers in this workspace request far less.
 pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
-    assert!(
-        out.len() <= 255 * DIGEST_LEN,
-        "HKDF-Expand output limited to 255 blocks"
-    );
-    let mut previous: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    let mut offset = 0usize;
-    while offset < out.len() {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&previous);
-        mac.update(info);
-        mac.update([counter]);
-        let block = mac.finalize();
-        let take = (out.len() - offset).min(DIGEST_LEN);
-        out[offset..offset + take].copy_from_slice(&block.as_bytes()[..take]);
-        previous = block.as_bytes().to_vec();
-        offset += take;
-        counter = counter.checked_add(1).expect("HKDF block counter overflow");
-    }
+    Prk::new(prk).expand(info, out);
 }
 
 /// One-shot HKDF (extract then expand).
@@ -86,6 +110,26 @@ mod tests {
         );
     }
 
+    // RFC 5869 Test Case 2: 80-byte salt, IKM and info; three chained
+    // output blocks.
+    #[test]
+    fn rfc5869_case_2() {
+        let ikm: Vec<u8> = (0x00..=0x4f).collect();
+        let salt: Vec<u8> = (0x60..=0xaf).collect();
+        let info: Vec<u8> = (0xb0..=0xff).collect();
+        assert_eq!(
+            hex(&hkdf_extract(&salt, &ikm)),
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
+        );
+        let okm = hkdf(&salt, &ikm, &info, 82);
+        assert_eq!(
+            hex(&okm),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        );
+    }
+
     // RFC 5869 Test Case 3 (zero-length salt and info).
     #[test]
     fn rfc5869_case_3() {
@@ -105,6 +149,22 @@ mod tests {
         hkdf_expand(&prk, b"ctx", &mut long);
         hkdf_expand(&prk, b"ctx", &mut short);
         assert_eq!(&long[..16], &short[..]);
+    }
+
+    // RFC 5869 allows 255 blocks.  The 255th block, and any output longer
+    // than 254 blocks, must not overflow the one-byte block counter.
+    // (`expand_rejects_oversized_output` covers the first length past it.)
+    #[test]
+    fn expand_reaches_the_rfc_limit() {
+        let prk = hkdf_extract(b"salt", b"ikm");
+        let mut shorter = vec![0u8; DIGEST_LEN];
+        hkdf_expand(&prk, b"ctx", &mut shorter);
+        for len in [254 * DIGEST_LEN, 254 * DIGEST_LEN + 1, 255 * DIGEST_LEN] {
+            let mut out = vec![0u8; len];
+            hkdf_expand(&prk, b"ctx", &mut out);
+            assert_eq!(&out[..shorter.len()], &shorter[..], "{len} bytes");
+            shorter = out;
+        }
     }
 
     #[test]

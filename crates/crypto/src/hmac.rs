@@ -109,6 +109,17 @@ mod tests {
         );
     }
 
+    // Case 4: a 25-byte key and 50 bytes of data.
+    #[test]
+    fn rfc4231_case_4() {
+        let key: Vec<u8> = (0x01..=0x19).collect();
+        let tag = hmac_sha256(&key, &[0xcdu8; 50]);
+        assert_eq!(
+            tag.to_hex(),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
     #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
@@ -119,6 +130,22 @@ mod tests {
         assert_eq!(
             tag.to_hex(),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+    }
+
+    // Case 7: a 131-byte key, hashed first, and three blocks of data.
+    #[test]
+    fn rfc4231_case_7_long_key_and_data() {
+        let key = [0xaau8; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            tag.to_hex(),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
     }
 

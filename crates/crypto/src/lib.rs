@@ -7,7 +7,8 @@
 //! without any external cryptography dependency:
 //!
 //! * [`sha256`](mod@sha256) — SHA-256 hashing (used for owner/user identities and enclave
-//!   measurement values, `MRENCLAVE`).
+//!   measurement values, `MRENCLAVE`), on the SHA extensions where the CPU
+//!   has them.
 //! * [`hmac`] / [`hkdf`] — keyed MACs and key derivation for session keys.
 //! * [`aes`] / [`gcm`] — AES-128 and AES-128-GCM authenticated encryption
 //!   (the paper's choice for model and request encryption), on AES-NI +
@@ -33,10 +34,15 @@
 //! on the key or the data.  The portable backend has both: [`aes`] indexes
 //! its S-box by key and data bytes, and its bit-serial GHASH branches on the
 //! bits of the hash key and the data.
+//! SHA-256's compression function likewise has two backends with identical
+//! output: every compression runs on the x86 SHA extensions when
+//! `is_x86_feature_detected!` finds sha, SSSE3 and SSE4.1, and portably on
+//! every other CPU and target.  Neither has a secret-dependent table lookup
+//! or branch.
 //! Beyond that, the crate makes no claim about side-channel resistance except
 //! for its constant-time tag comparisons.  Side channels are outside the
-//! threat model, as in the paper (see `PAPER.md`).  The hardware backend is
-//! the crate's only `unsafe` code.
+//! threat model, as in the paper (see `PAPER.md`).  The two hardware
+//! backends, AES-GCM's and SHA-256's, are the crate's only `unsafe` code.
 //!
 //! ## Example
 //!

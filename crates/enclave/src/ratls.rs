@@ -62,7 +62,7 @@ use crate::measurement::Measurement;
 use rand::RngCore;
 use sesemi_crypto::aead::{Aead, Nonce};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
-use sesemi_crypto::hkdf::{hkdf_expand, hkdf_extract};
+use sesemi_crypto::hkdf::{hkdf_extract, Prk};
 use sesemi_crypto::sha256::{sha256_parts, Digest};
 use sesemi_crypto::x25519::EphemeralKeyPair;
 
@@ -113,10 +113,11 @@ struct KeySchedule {
 
 impl KeySchedule {
     fn derive(transcript: &Digest, keying_material: &[u8; 32]) -> Self {
-        let prk = hkdf_extract(transcript.as_bytes(), keying_material);
+        // HMAC is keyed with the PRK once for all three labels.
+        let prk = Prk::new(&hkdf_extract(transcript.as_bytes(), keying_material));
         let expand = |label: &[u8]| {
             let mut key = [0u8; 32];
-            hkdf_expand(&prk, label, &mut key);
+            prk.expand(label, &mut key);
             key
         };
         let id = sha256_parts(&[b"ratls-channel-id", transcript.as_bytes()]);
@@ -728,5 +729,41 @@ mod tests {
         assert!(responder
             .recv(&session.finish(&hello, &nonce).send(b"x"))
             .is_err());
+    }
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    // Both ends derive their keys the same way, so a change that moved every
+    // derived key alike would still pass every handshake test above.  These
+    // values pin the schedule (the three keys and the channel id agree with
+    // Python's `hmac` and `hashlib`) and the first two records it keys.
+    #[test]
+    fn the_key_schedule_derives_known_values() {
+        let transcript = sesemi_crypto::sha256::sha256(b"ratls-known-answer-transcript");
+        let schedule = KeySchedule::derive(&transcript, &[0x42; 32]);
+        assert_eq!(
+            hex(&schedule.initiator_to_responder),
+            "ea1d1af38db98df7678c7a55b2c2d37f67a2934cf2eb6d299409a085c323c6a2"
+        );
+        assert_eq!(
+            hex(&schedule.responder_to_initiator),
+            "ecf28bdefcae2f2e685d85e1102a380c2b99b88ac57c65e238666bff248abc12"
+        );
+        assert_eq!(
+            hex(&schedule.resumption_secret),
+            "7005146c0adf3741e3d8bcd9268e589f2970ed4da9f012b665ded4feb7f3daad"
+        );
+        assert_eq!(schedule.channel_id, 0x6665_bead);
+
+        let mut initiator = schedule.initiator_channel(None);
+        assert_eq!(
+            hex(&initiator.send(b"KEY_PROVISIONING request")),
+            "7753025a0ca4c3cbf220594d8bf45c304681ace9be7fca70f3f01d187c0af21c91cc3395aa8862fd"
+        );
+        assert_eq!(
+            hex(&initiator.send(b"second")),
+            "205431820cdc58ca34fe5404dd479b84f33aa269c681"
+        );
     }
 }
