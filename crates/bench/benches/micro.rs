@@ -1,21 +1,26 @@
 //! Micro-benchmarks and ablations on the real (non-simulated) components:
 //! AEAD throughput, SHA-256 on a bulk and a one-block message, the RA-TLS
 //! key schedule's HKDF, X25519 key generation and Diffie–Hellman (the
-//! RA-TLS handshake's cost), one `KEY_PROVISIONING` fetch over a full attested
-//! handshake and over a resumed one (the `keyservice` group), the SeMIRT hot
-//! path and the warm path's KeyService key fetch on a scaled-down model,
-//! `MODEL_EXEC` and `RUNTIME_INIT` on full-size MBNET (the `inference`
-//! group), and the FnPacker routing decision.
+//! RA-TLS handshake's cost), ChaCha20's eight-block batch and the
+//! `SessionRng` draws that generate a model, one `KEY_PROVISIONING` fetch
+//! over a full attested handshake and over a resumed one (the `keyservice`
+//! group), the SeMIRT hot path and the warm path's KeyService key fetch on
+//! a scaled-down model, `MODEL_EXEC`, `RUNTIME_INIT` and the cold start's
+//! decryption plus `MODEL_LOAD` on full-size MBNET (the `inference` group),
+//! and the FnPacker routing decision.
 //!
 //! These complement the per-figure benches: they measure the actual Rust
 //! implementations rather than the calibrated cost model, and include one
 //! design ablation (FnPacker's exclusivity release interval).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::RngCore;
 use sesemi::deployment::Deployment;
 use sesemi::keyservice::{KeyService, OwnerClient, PartyId, UserClient};
+use sesemi::semirt::provider::{decrypt_model, encrypt_model};
 use sesemi::semirt::{InvocationPath, KeyProvider, KeyServiceProvider, SemirtConfig};
 use sesemi_crypto::aead::{Aead, AeadKey, Nonce};
+use sesemi_crypto::chacha20::{chacha20_batch, BATCH, BLOCK_LEN};
 use sesemi_crypto::chacha20poly1305::ChaCha20Poly1305;
 use sesemi_crypto::gcm::Aes128Gcm;
 use sesemi_crypto::hkdf::{hkdf_extract, Prk};
@@ -60,6 +65,22 @@ fn bench_crypto(c: &mut Criterion) {
     let chacha = ChaCha20Poly1305::new(&key);
     group.bench_function("chacha20poly1305_seal_64KiB", |b| {
         b.iter(|| chacha.seal(&nonce, &payload, b"model"))
+    });
+    // `SessionRng` refills from this batch once past its first block.
+    group.bench_function("chacha20_8_blocks", |b| {
+        let mut out = [0u8; BATCH * BLOCK_LEN];
+        b.iter(|| {
+            chacha20_batch(black_box(&[3u8; 32]), black_box(1), &[0u8; 12], &mut out);
+            out[0]
+        })
+    });
+    // The model zoo's draw pattern: one `next_u32` per weight, 4 M of them
+    // for full-size MBNET's 4.2 M parameters.
+    group.bench_function("session_rng_next_u32_16MiB", |b| {
+        b.iter(|| {
+            let mut rng = SessionRng::from_seed(black_box(4));
+            (0..4 << 20).fold(0u32, |acc, _| acc ^ rng.next_u32())
+        })
     });
     group.bench_function("sha256_64KiB", |b| b.iter(|| sha256(&payload)));
     // The RA-TLS key schedule hashes one to five blocks per call: one 64-byte
@@ -297,6 +318,18 @@ fn bench_inference(c: &mut Criterion) {
             );
         }
     }
+    // A cold start's decryption and `MODEL_LOAD` of the sealed full-size
+    // blob.  Each iteration also clones the blob, as the fetch into the
+    // enclave does, since decryption consumes it.
+    let id = kind.default_id();
+    let key = AeadKey::from_bytes([7u8; 16]);
+    let blob = encrypt_model(&id, &bytes, &key, &mut SessionRng::from_seed(8));
+    group.bench_function("decrypt_load_mbnet", |b| {
+        b.iter(|| {
+            let plaintext = decrypt_model(&id, blob.clone(), &key).unwrap();
+            Framework::Tvm.model_load(&id, &plaintext).unwrap()
+        })
+    });
     group.finish();
 }
 

@@ -7,6 +7,7 @@
 //! suite is in use.
 
 use crate::error::CryptoError;
+use crate::gcm::Aes128Gcm;
 use rand::RngCore;
 
 /// Length of AEAD keys (both suites use 128-bit keys here; ChaCha20 expands a
@@ -162,7 +163,10 @@ impl SealedBox {
     }
 
     /// Serializes the sealed box into a flat byte vector
-    /// (`nonce || u32 aad_len || aad || ciphertext`).
+    /// (`nonce || u32 aad_len || aad || ciphertext`, the ciphertext ending
+    /// in its tag).  [`SealedBox::seal_to_bytes`] and
+    /// [`SealedBox::open_bytes`] write and read the same format in one
+    /// buffer.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len() + 4);
@@ -171,6 +175,57 @@ impl SealedBox {
         out.extend_from_slice(&self.aad);
         out.extend_from_slice(&self.ciphertext);
         out
+    }
+
+    /// Seals `plaintext` with a random nonce straight into the
+    /// [`SealedBox::to_bytes`] format, byte-identical to
+    /// `SealedBox::seal(cipher, rng, plaintext, aad).to_bytes()`: the
+    /// plaintext is copied once, into the returned buffer, and encrypted
+    /// there.
+    pub fn seal_to_bytes<R: RngCore>(
+        cipher: &Aes128Gcm,
+        rng: &mut R,
+        plaintext: &[u8],
+        aad: &[u8],
+    ) -> Vec<u8> {
+        let nonce = Nonce::generate(rng);
+        let header = NONCE_LEN + 4 + aad.len();
+        let mut out = Vec::with_capacity(header + plaintext.len() + TAG_LEN);
+        out.extend_from_slice(nonce.as_bytes());
+        out.extend_from_slice(&(aad.len() as u32).to_be_bytes());
+        out.extend_from_slice(aad);
+        out.extend_from_slice(plaintext);
+        let tag = cipher.seal_in_place(&nonce, aad, &mut out[header..]);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Opens `bytes` in the [`SealedBox::to_bytes`] format in place, given
+    /// the AAD they must carry.  It checks the header against `aad`,
+    /// decrypts the ciphertext in its buffer, checks the tag in constant
+    /// time, and only then moves the plaintext to the front of the same
+    /// buffer and returns it.  Any failure is
+    /// [`CryptoError::AuthenticationFailed`]; a ciphertext that fails its
+    /// tag is zeroed before the buffer is dropped.
+    pub fn open_bytes(
+        cipher: &Aes128Gcm,
+        mut bytes: Vec<u8>,
+        aad: &[u8],
+    ) -> Result<Vec<u8>, CryptoError> {
+        let header = NONCE_LEN + 4 + aad.len();
+        if bytes.len() < header + TAG_LEN
+            || bytes[NONCE_LEN..NONCE_LEN + 4] != (aad.len() as u32).to_be_bytes()
+            || &bytes[NONCE_LEN + 4..header] != aad
+        {
+            return Err(CryptoError::AuthenticationFailed);
+        }
+        let nonce = Nonce::from_bytes(bytes[..NONCE_LEN].try_into().expect("a nonce"));
+        let body_end = bytes.len() - TAG_LEN;
+        let (body, tag) = bytes[header..].split_at_mut(body_end - header);
+        cipher.open_in_place(&nonce, aad, body, (&*tag).try_into().expect("a tag"))?;
+        bytes.truncate(body_end);
+        bytes.drain(..header);
+        Ok(bytes)
     }
 
     /// Parses a sealed box produced by [`SealedBox::to_bytes`].
@@ -209,7 +264,6 @@ impl SealedBox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gcm::Aes128Gcm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

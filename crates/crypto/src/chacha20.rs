@@ -1,7 +1,21 @@
 //! ChaCha20 stream cipher (RFC 8439 §2.3–2.4).
 //!
 //! Used as the record-protection cipher for RA-TLS channels (the alternative
-//! AEAD suite); the block function is also reused by Poly1305 key generation.
+//! AEAD suite); the block function is also reused by Poly1305 key generation
+//! and by [`SessionRng`](crate::rng::SessionRng).
+//!
+//! [`chacha20_block`] computes one block, portably.  [`chacha20_batch`]
+//! computes [`BATCH`] consecutive blocks under one key and nonce: on x86_64
+//! CPUs with AVX2 one kernel runs the eight blocks side by side, one per
+//! 32-bit lane, and everywhere else it is eight [`chacha20_block`] calls.
+//! The tests hold the two to each other and to the RFC 8439 vector.
+//! `SessionRng` refills from a batch once it has drawn its first block (see
+//! its module for the rule); the RA-TLS records, under 512 bytes, stay on
+//! [`chacha20_xor`]'s block-at-a-time loop.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 /// ChaCha20 key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -9,6 +23,8 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// ChaCha20 block size in bytes.
 pub const BLOCK_LEN: usize = 64;
+/// Blocks [`chacha20_batch`] computes per call.
+pub const BATCH: usize = 8;
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -24,13 +40,9 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Computes one 64-byte ChaCha20 keystream block.
-#[must_use]
-pub fn chacha20_block(
-    key: &[u8; KEY_LEN],
-    counter: u32,
-    nonce: &[u8; NONCE_LEN],
-) -> [u8; BLOCK_LEN] {
+/// The initial state of the block at `counter`: the constants, the key,
+/// the counter and the nonce, as 16 little-endian words.
+fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&CONSTANTS);
     for i in 0..8 {
@@ -46,7 +58,17 @@ pub fn chacha20_block(
             nonce[4 * i + 3],
         ]);
     }
+    state
+}
 
+/// Computes one 64-byte ChaCha20 keystream block.
+#[must_use]
+pub fn chacha20_block(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+) -> [u8; BLOCK_LEN] {
+    let state = initial_state(key, counter, nonce);
     let mut working = state;
     for _ in 0..10 {
         // Column rounds.
@@ -69,6 +91,37 @@ pub fn chacha20_block(
     out
 }
 
+/// Computes the [`BATCH`] keystream blocks at counters `counter`,
+/// `counter + 1`, … into `out`: block `i` is
+/// `chacha20_block(key, counter.wrapping_add(i), nonce)`, so the counter
+/// wraps within the nonce like [`chacha20_xor`]'s.  Runs the AVX2 kernel
+/// where the CPU has AVX2, else [`BATCH`] calls to [`chacha20_block`].
+pub fn chacha20_batch(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+    out: &mut [u8; BATCH * BLOCK_LEN],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = x86::Avx2::detect() {
+        avx2.batch(&initial_state(key, counter, nonce), out);
+        return;
+    }
+    batch_portable(key, counter, nonce, out);
+}
+
+/// [`chacha20_batch`] as [`BATCH`] calls to [`chacha20_block`].
+fn batch_portable(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+    out: &mut [u8; BATCH * BLOCK_LEN],
+) {
+    for (block, i) in out.chunks_exact_mut(BLOCK_LEN).zip(0u32..) {
+        block.copy_from_slice(&chacha20_block(key, counter.wrapping_add(i), nonce));
+    }
+}
+
 /// Encrypts or decrypts `data` in place (XOR with the keystream starting at
 /// block `initial_counter`).
 pub fn chacha20_xor(
@@ -89,6 +142,7 @@ pub fn chacha20_xor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -97,20 +151,91 @@ mod tests {
             .collect()
     }
 
+    /// RFC 8439 §2.3.2's key, nonce and the block at counter 1.
+    fn rfc_block_vector() -> ([u8; KEY_LEN], [u8; NONCE_LEN], Vec<u8>) {
+        let key: Vec<u8> = (0u8..32).collect();
+        (
+            key.try_into().unwrap(),
+            unhex("000000090000004a00000000").try_into().unwrap(),
+            unhex(
+                "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4ed2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e",
+            ),
+        )
+    }
+
     // RFC 8439 §2.3.2 block function test vector.
     #[test]
     fn rfc8439_block_vector() {
-        let key: Vec<u8> = (0u8..32).collect();
-        let mut key_arr = [0u8; 32];
-        key_arr.copy_from_slice(&key);
-        let nonce = unhex("000000090000004a00000000");
-        let mut nonce_arr = [0u8; 12];
-        nonce_arr.copy_from_slice(&nonce);
-        let block = chacha20_block(&key_arr, 1, &nonce_arr);
-        let expected = unhex(
-            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4ed2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e",
-        );
-        assert_eq!(block.to_vec(), expected);
+        let (key, nonce, expected) = rfc_block_vector();
+        assert_eq!(chacha20_block(&key, 1, &nonce).to_vec(), expected);
+    }
+
+    type Batch = fn(&[u8; KEY_LEN], u32, &[u8; NONCE_LEN], &mut [u8; BATCH * BLOCK_LEN]);
+
+    /// Every batch backend this machine runs, by name: the portable one, and
+    /// the AVX2 one where the CPU has it.  Elsewhere the first call prints
+    /// that the AVX2 cases are skipped.
+    fn backends() -> Vec<(&'static str, Batch)> {
+        static NOTICE: std::sync::Once = std::sync::Once::new();
+        let mut backends: Vec<(&'static str, Batch)> = vec![("portable", batch_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if x86::Avx2::detect().is_some() {
+            let avx2: Batch = |key, counter, nonce, out| {
+                x86::Avx2::detect()
+                    .unwrap()
+                    .batch(&initial_state(key, counter, nonce), out);
+            };
+            backends.push(("avx2", avx2));
+        }
+        if backends.len() == 1 {
+            NOTICE.call_once(|| eprintln!("skipped the AVX2 ChaCha20 kernel: no AVX2 here"));
+        }
+        backends
+    }
+
+    // The RFC block in every lane of every backend: the batch that starts
+    // at counter `1 - lane` holds it in `lane`, and from lane 2 on that
+    // batch wraps the counter.
+    #[test]
+    fn every_backend_computes_the_rfc_block_in_every_lane() {
+        let (key, nonce, expected) = rfc_block_vector();
+        for (name, batch) in backends() {
+            for lane in 0..BATCH {
+                let mut out = [0u8; BATCH * BLOCK_LEN];
+                batch(&key, 1u32.wrapping_sub(lane as u32), &nonce, &mut out);
+                assert_eq!(
+                    out[lane * BLOCK_LEN..][..BLOCK_LEN],
+                    expected[..],
+                    "{name}, lane {lane}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random keys, nonces and counters, a third of the counters within
+        /// a batch of `u32::MAX`: every backend writes [`BATCH`]
+        /// [`chacha20_block`] calls' blocks.
+        #[test]
+        fn backends_match_block_by_block(
+            key: [u8; 32],
+            nonce: [u8; 12],
+            counter: u32,
+            near_wrap in 0u32..3 * BATCH as u32,
+        ) {
+            let counter = if near_wrap < BATCH as u32 { u32::MAX - near_wrap } else { counter };
+            let mut expected = Vec::new();
+            for i in 0..BATCH as u32 {
+                expected.extend(chacha20_block(&key, counter.wrapping_add(i), &nonce));
+            }
+            for (name, batch) in backends() {
+                let mut out = [0u8; BATCH * BLOCK_LEN];
+                batch(&key, counter, &nonce, &mut out);
+                prop_assert!(out[..] == expected[..], "{} at counter {:#x}", name, counter);
+            }
+        }
     }
 
     // RFC 8439 §2.4.2 encryption test vector.

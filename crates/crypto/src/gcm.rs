@@ -64,8 +64,10 @@ impl Aes128Gcm {
         }
     }
 
-    /// Encrypts `buf` in place; returns the tag.
-    fn encrypt_in_place(&self, nonce: &Nonce, aad: &[u8], buf: &mut [u8]) -> [u8; TAG_LEN] {
+    /// Encrypts `buf` in place and returns the tag over `aad` and the
+    /// ciphertext.  [`Aead::seal`] is this on a copy of its plaintext with
+    /// the tag appended.
+    pub fn seal_in_place(&self, nonce: &Nonce, aad: &[u8], buf: &mut [u8]) -> [u8; TAG_LEN] {
         match &self.backend {
             Backend::Portable(portable) => {
                 portable.ctr_xor(nonce, buf);
@@ -73,6 +75,27 @@ impl Aes128Gcm {
             }
             #[cfg(target_arch = "x86_64")]
             Backend::X86(hardware) => hardware.encrypt_in_place(nonce, aad, buf),
+        }
+    }
+
+    /// Decrypts the ciphertext `buf` in place and checks `tag` over `aad`
+    /// and the ciphertext in constant time.  On a mismatch `buf` is zeroed,
+    /// so no unauthenticated plaintext is left in it, and the result is
+    /// [`CryptoError::AuthenticationFailed`].  [`Aead::open`] is this on a
+    /// copy of its ciphertext.
+    pub fn open_in_place(
+        &self,
+        nonce: &Nonce,
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), CryptoError> {
+        let expected = self.decrypt_in_place(nonce, aad, buf);
+        if ct_eq(&expected, tag) {
+            Ok(())
+        } else {
+            buf.fill(0);
+            Err(CryptoError::AuthenticationFailed)
         }
     }
 
@@ -94,7 +117,7 @@ impl Aead for Aes128Gcm {
     fn seal(&self, nonce: &Nonce, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        let tag = self.encrypt_in_place(nonce, aad, &mut out);
+        let tag = self.seal_in_place(nonce, aad, &mut out);
         out.extend_from_slice(&tag);
         out
     }
@@ -105,10 +128,7 @@ impl Aead for Aes128Gcm {
         }
         let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
         let mut plaintext = body.to_vec();
-        let expected = self.decrypt_in_place(nonce, aad, &mut plaintext);
-        if !ct_eq(&expected, tag) {
-            return Err(CryptoError::AuthenticationFailed);
-        }
+        self.open_in_place(nonce, aad, &mut plaintext, tag.try_into().expect("a tag"))?;
         Ok(plaintext)
     }
 }
@@ -365,6 +385,38 @@ mod tests {
                 cipher.open(&nonce, &sealed[..8], b"request-42").is_err(),
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn open_in_place_decrypts_or_leaves_only_zeros() {
+        let key = AeadKey::from_bytes([5u8; 16]);
+        let nonce = Nonce::from_bytes([6u8; 12]);
+        let plaintext = b"model weights ".repeat(20);
+        for (name, cipher) in backends(&key) {
+            let mut body = plaintext.clone();
+            let tag = cipher.seal_in_place(&nonce, b"mbnet", &mut body);
+            assert_eq!(
+                [&body[..], &tag[..]].concat(),
+                cipher.seal(&nonce, &plaintext, b"mbnet"),
+                "{name}"
+            );
+            let sealed = body.clone();
+            cipher
+                .open_in_place(&nonce, b"mbnet", &mut body, &tag)
+                .unwrap();
+            assert_eq!(body, plaintext, "{name}");
+            // A wrong tag or AAD: the decrypted bytes are wiped.
+            let mut bad_tag = tag;
+            bad_tag[3] ^= 0x40;
+            for (aad, tag) in [(&b"mbnet"[..], bad_tag), (b"rsnet", tag)] {
+                let mut body = sealed.clone();
+                assert!(
+                    cipher.open_in_place(&nonce, aad, &mut body, &tag).is_err(),
+                    "{name}"
+                );
+                assert!(body.iter().all(|&b| b == 0), "{name}");
+            }
         }
     }
 

@@ -14,7 +14,9 @@
 //!   (the paper's choice for model and request encryption), on AES-NI +
 //!   PCLMULQDQ where the CPU has them.
 //! * [`chacha20`] / [`poly1305`] / [`chacha20poly1305`] — an alternative AEAD
-//!   suite used for RA-TLS record protection.
+//!   suite used for RA-TLS record protection; ChaCha20 also drives
+//!   [`rng::SessionRng`], eight blocks at a time on AVX2 where the CPU has
+//!   it.
 //! * [`x25519`] — Diffie–Hellman key agreement for the RA-TLS handshake.
 //! * [`aead`] — a common [`aead::Aead`] trait plus key / nonce types.
 //! * [`ct`] — constant-time comparison helpers.
@@ -39,10 +41,17 @@
 //! `is_x86_feature_detected!` finds sha, SSSE3 and SSE4.1, and portably on
 //! every other CPU and target.  Neither has a secret-dependent table lookup
 //! or branch.
+//! [`chacha20::chacha20_batch`] has an AVX2 backend, picked when
+//! `is_x86_feature_detected!` finds avx2, and a portable one of eight
+//! [`chacha20::chacha20_block`] calls; ChaCha20 has no table lookup or
+//! branch on its data in either.
 //! Beyond that, the crate makes no claim about side-channel resistance except
 //! for its constant-time tag comparisons.  Side channels are outside the
-//! threat model, as in the paper (see `PAPER.md`).  The two hardware
-//! backends, AES-GCM's and SHA-256's, are the crate's only `unsafe` code.
+//! threat model, as in the paper (see `PAPER.md`).  The three x86 backends,
+//! AES-GCM's, SHA-256's and ChaCha20's, are the crate's only `unsafe` code,
+//! each in its own module under one contract: every `unsafe fn` has the one
+//! safety condition that the CPU has the features it enables, and only a
+//! safe method of a value built after detection calls them.
 //!
 //! ## Example
 //!

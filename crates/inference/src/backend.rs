@@ -20,6 +20,14 @@
 //! Both backends compute the same function with the same rounding, so their
 //! predictions are bit-identical; the unit tests check both bit for bit
 //! against the reference forward pass.
+//!
+//! On SeMIRT's cold start the blob `MODEL_LOAD` reads is the plaintext that
+//! `decrypt_model` left in the fetch's own copy of the sealed blob (it
+//! decrypts in place), and `MODEL_LOAD` converts each layer's weights and
+//! bias as whole slices.  The copies that stay are the loaded model's
+//! weights and, for the TVM-style backend, each worker's transposed copy,
+//! made in 16 × 16 tiles by [`Matrix::transposed`]: it is Table I's
+//! per-thread runtime buffer, and the enclave heap is charged for it.
 
 use crate::error::InferenceError;
 use crate::layers::{softmax_in_place, Layer};

@@ -165,10 +165,12 @@ impl ModelGraph {
         Ok(run_layers(&self.layers, input.to_vec()))
     }
 
-    /// Serializes the model into the SeSeMI binary model format.
+    /// Serializes the model into the SeSeMI binary model format, into a
+    /// buffer of exactly its length.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.parameter_count() * 4 + 256);
+        let len = MAGIC.len() + 4 + 4 + self.name.len() + 8 + 4 + layers_len(&self.layers);
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         write_string(&mut out, &self.name);
@@ -177,6 +179,7 @@ impl ModelGraph {
         for layer in &self.layers {
             write_layer(&mut out, layer);
         }
+        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -266,6 +269,29 @@ fn write_string(out: &mut Vec<u8>, value: &str) {
     out.extend_from_slice(value.as_bytes());
 }
 
+/// The serialized length of `layers`, as [`write_layer`] writes them.
+fn layers_len(layers: &[Layer]) -> usize {
+    layers
+        .iter()
+        .map(|layer| match layer {
+            // Tag, rows, cols, activation, then the parameters.
+            Layer::Dense { .. } => 1 + 4 + 4 + 1 + layer.parameter_count() * 4,
+            // Tag and branch length, then the branch.
+            Layer::Residual { branch } | Layer::DenseBlock { branch } => 1 + 4 + layers_len(branch),
+            Layer::Softmax => 1,
+        })
+        .sum()
+}
+
+/// Appends `values` as little-endian `f32`s, as one slice.
+fn write_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    let start = out.len();
+    out.resize(start + values.len() * 4, 0);
+    for (bytes, value) in out[start..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
 fn write_layer(out: &mut Vec<u8>, layer: &Layer) {
     match layer {
         Layer::Dense {
@@ -277,12 +303,8 @@ fn write_layer(out: &mut Vec<u8>, layer: &Layer) {
             out.extend_from_slice(&(weights.rows() as u32).to_le_bytes());
             out.extend_from_slice(&(weights.cols() as u32).to_le_bytes());
             out.push(activation.tag());
-            for w in weights.data() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            for b in bias {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
+            write_f32s(out, weights.data());
+            write_f32s(out, bias);
         }
         Layer::Residual { branch } => {
             out.push(1);
@@ -325,17 +347,9 @@ fn read_layer(cursor: &mut Cursor<'_>, depth: usize) -> Result<Layer, InferenceE
                 InferenceError::MalformedModel("weight matrix too large".to_string())
             })?;
             cursor.ensure_items(parameters, 4)?;
-            let mut data = Vec::with_capacity(count);
-            for _ in 0..count {
-                data.push(cursor.read_f32()?);
-            }
-            let mut bias = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                bias.push(cursor.read_f32()?);
-            }
             Ok(Layer::Dense {
-                weights: Matrix::from_vec(rows, cols, data),
-                bias,
+                weights: Matrix::from_vec(rows, cols, cursor.read_f32s(count)?),
+                bias: cursor.read_f32s(rows)?,
                 activation,
             })
         }
@@ -424,9 +438,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn read_f32(&mut self) -> Result<f32, InferenceError> {
-        let bytes = self.take(4)?;
-        Ok(f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+    /// Reads `count` little-endian `f32`s as one slice.  `count * 4` must
+    /// not overflow: `read_layer` bounds it with `ensure_items` first.
+    fn read_f32s(&mut self, count: usize) -> Result<Vec<f32>, InferenceError> {
+        let bytes = self.take(count * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     fn read_string(&mut self) -> Result<String, InferenceError> {
@@ -524,6 +543,21 @@ mod tests {
             model.forward(&input).unwrap(),
             restored.forward(&input).unwrap()
         );
+    }
+
+    // RSNET's layer headers (451 bytes) used to overrun a
+    // `parameter_count() * 4 + 256` reservation, so its last writes doubled
+    // the buffer: at scale 0.002, 362,819 bytes in a capacity of 725,248.
+    #[test]
+    fn to_bytes_reserves_exactly_the_serialized_length() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for kind in crate::zoo::ModelKind::ALL {
+            for scale in [0.002, 0.01] {
+                let bytes = kind.generate(scale, &mut rng).to_bytes();
+                assert_eq!(bytes.capacity(), bytes.len(), "{} at {scale}", kind.label());
+            }
+        }
     }
 
     #[test]

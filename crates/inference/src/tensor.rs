@@ -1,8 +1,18 @@
 //! Minimal dense tensor types: a 1-D activation vector and a 2-D weight
 //! matrix in row-major layout, plus the matrix–vector kernels both backends
 //! build on.
+//!
+//! The TVM-style backend's `RUNTIME_INIT` is almost all
+//! [`Matrix::transposed`].  It transposes in 16 × 16 tiles, filled one
+//! destination row at a time, because element by element its writes land
+//! 2–4 KiB apart on full-size MBNET's layers and addresses 4 KiB apart
+//! share an L1 cache set; the method's doc has the measurements behind the
+//! tile.
 
 use crate::error::InferenceError;
+
+/// The side of the square tiles [`Matrix::transposed`] copies.
+const TRANSPOSE_TILE: usize = 16;
 
 /// A dense 2-D matrix of `f32` in row-major order (`rows` × `cols`).
 #[derive(Clone, Debug, PartialEq)]
@@ -76,15 +86,43 @@ impl Matrix {
 
     /// Returns the transpose (used by the TVM-style backend's weight
     /// pre-transformation).
+    ///
+    /// It copies 16 × 16 tiles, one band of 16 source rows at a time, and
+    /// fills each tile one destination row at a time: every write run is
+    /// 16 floats, one 64-byte cache line, and the tile's 16 source lines
+    /// serve all 16 of its destination rows.  A
+    /// transpose moves values without arithmetic, so the result is exact.
+    ///
+    /// Element by element, successive writes land `rows` floats apart:
+    /// 2 or 4 KiB on full-size MBNET's 512×1024 and 1024×512 layers.
+    /// Addresses 4 KiB apart fall into the same L1 cache set, so tiles that
+    /// are filled source row by source row keep one destination line per
+    /// tile row live in that one set; at 32×32 the lines evict each other
+    /// before they are full, and the tile barely helps.  Per model's worth
+    /// of MBNET's layers (4.2 M weights) on a 2-vCPU Xeon VM: element by
+    /// element 22–23 ms, 32×32 tiles by source row 15 ms, 8×8 by source
+    /// row 6.5–7 ms, by destination row 8×8 5 ms, 16×16 3.7 ms and 32×32
+    /// 4.0–4.2 ms.
     #[must_use]
     pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = vec![0.0; rows * cols];
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                for c in c0..(c0 + TRANSPOSE_TILE).min(cols) {
+                    let out = &mut data[c * rows + r0..c * rows + r1];
+                    for (slot, r) in out.iter_mut().zip(r0..r1) {
+                        *slot = self.data[r * cols + c];
+                    }
+                }
             }
         }
-        out
+        Matrix {
+            rows: cols,
+            cols: rows,
+            data,
+        }
     }
 
     /// Checks that every parameter is finite.
@@ -269,6 +307,33 @@ mod tests {
         assert!(nan.validate_finite().is_err());
         let inf = Matrix::from_vec(1, 2, vec![f32::INFINITY, 0.0]);
         assert!(inf.validate_finite().is_err());
+    }
+
+    // Shapes that cut across the 16 × 16 tiles (a row, a column, primes,
+    // one past a tile in both directions) and full-size MBNET's 512 × 1024;
+    // every element is distinct, so any misplaced or missed one shows.
+    #[test]
+    fn transpose_moves_every_element_on_shapes_across_the_tiles() {
+        for (rows, cols) in [
+            (1, 1),
+            (1, 37),
+            (37, 1),
+            (15, 17),
+            (16, 16),
+            (17, 33),
+            (97, 13),
+            (513, 1025),
+            (512, 1024),
+        ] {
+            let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
+            let t = m.transposed();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), m.get(r, c), "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,21 @@
 //! cloud storage holding the encrypted model.  Both are abstracted behind
 //! traits so the runtime can be unit-tested in isolation and driven either by
 //! the real in-process services or by the cluster simulator.
+//!
+//! The model blob is copied once on its way into the enclave:
+//! [`ModelFetcher::fetch_encrypted_model`] returns an owned copy, which
+//! stands for `OC_LOAD_MODEL`'s copy from untrusted memory into the enclave
+//! and stays.  [`decrypt_model`] takes that copy by value, decrypts it in
+//! place and returns the plaintext in the same allocation (moved to its
+//! front), and [`encrypt_model`] copies the owner's model bytes once, into
+//! the blob it returns, and seals them there.  The blob's format is
+//! [`SealedBox`]'s, and only `sesemi_crypto::aead` reads or writes it.
 
 use crate::error::RuntimeError;
 use parking_lot::Mutex;
 use rand::RngCore;
-use sesemi_crypto::aead::AeadKey;
+use sesemi_crypto::aead::{AeadKey, SealedBox};
+use sesemi_crypto::gcm::Aes128Gcm;
 use sesemi_crypto::rng::SessionRng;
 use sesemi_enclave::ratls::{HandshakeInitiator, ResumptionSession, SecureChannel};
 use sesemi_enclave::{Enclave, Measurement, QuoteVerifier};
@@ -226,40 +236,38 @@ impl ModelFetcher for InMemoryModelStore {
 }
 
 /// Helper used by owners (and tests): encrypts a serialized model under the
-/// model key, producing the blob that is uploaded to cloud storage.
+/// model key, producing the blob that is uploaded to cloud storage: a
+/// [`SealedBox`]'s bytes with the model id as the AAD, sealed in one buffer
+/// ([`SealedBox::seal_to_bytes`]).
 pub fn encrypt_model<R: RngCore>(
     model_id: &ModelId,
     model_bytes: &[u8],
     model_key: &AeadKey,
     rng: &mut R,
 ) -> Vec<u8> {
-    use sesemi_crypto::aead::SealedBox;
-    use sesemi_crypto::gcm::Aes128Gcm;
     let cipher = Aes128Gcm::new(model_key);
-    SealedBox::seal(&cipher, rng, model_bytes, model_id.as_str().as_bytes()).to_bytes()
+    SealedBox::seal_to_bytes(&cipher, rng, model_bytes, model_id.as_str().as_bytes())
 }
 
-/// Decrypts a model blob produced by [`encrypt_model`] (inside the enclave).
+/// Decrypts a model blob produced by [`encrypt_model`] (inside the enclave)
+/// in place, with [`SealedBox::open_bytes`]: the blob must name `model_id`
+/// and carry a valid tag, and the plaintext comes back in the blob's own
+/// allocation.  Any failure is [`RuntimeError::ModelDecryption`].
 pub fn decrypt_model(
     model_id: &ModelId,
-    encrypted: &[u8],
+    blob: Vec<u8>,
     model_key: &AeadKey,
 ) -> Result<Vec<u8>, RuntimeError> {
-    use sesemi_crypto::aead::SealedBox;
-    use sesemi_crypto::gcm::Aes128Gcm;
     let cipher = Aes128Gcm::new(model_key);
-    let sealed = SealedBox::from_bytes(encrypted).map_err(|_| RuntimeError::ModelDecryption)?;
-    if sealed.aad != model_id.as_str().as_bytes() {
-        return Err(RuntimeError::ModelDecryption);
-    }
-    sealed
-        .open(&cipher)
+    SealedBox::open_bytes(&cipher, blob, model_id.as_str().as_bytes())
         .map_err(|_| RuntimeError::ModelDecryption)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sesemi_crypto::aead::{NONCE_LEN, TAG_LEN};
 
     #[test]
     fn model_encryption_roundtrip_and_binding() {
@@ -267,21 +275,103 @@ mod tests {
         let key = AeadKey::from_bytes([1u8; 16]);
         let model_id = ModelId::new("mbnet");
         let blob = encrypt_model(&model_id, b"model bytes", &key, &mut rng);
-        assert_eq!(
-            decrypt_model(&model_id, &blob, &key).unwrap(),
-            b"model bytes"
-        );
+        // The plaintext comes back in the blob's own allocation.
+        let copy = blob.clone();
+        let at = copy.as_ptr();
+        let plaintext = decrypt_model(&model_id, copy, &key).unwrap();
+        assert_eq!(plaintext, b"model bytes");
+        assert_eq!(plaintext.as_ptr(), at);
 
         // Wrong key.
         let wrong = AeadKey::from_bytes([2u8; 16]);
-        assert!(decrypt_model(&model_id, &blob, &wrong).is_err());
+        assert!(decrypt_model(&model_id, blob.clone(), &wrong).is_err());
         // Wrong model id (cloud swaps blobs between models).
-        assert!(decrypt_model(&ModelId::new("rsnet"), &blob, &key).is_err());
+        assert!(decrypt_model(&ModelId::new("rsnet"), blob.clone(), &key).is_err());
         // Tampered blob.
-        let mut tampered = blob.clone();
+        let mut tampered = blob;
         let last = tampered.len() - 1;
         tampered[last] ^= 1;
-        assert!(decrypt_model(&model_id, &tampered, &key).is_err());
+        assert!(decrypt_model(&model_id, tampered, &key).is_err());
+    }
+
+    /// A model id, a key, model bytes long enough to fill the hardware
+    /// GCM's stride and leave a partial block, and the bytes sealed with
+    /// [`encrypt_model`].
+    fn sealed_model() -> (ModelId, AeadKey, Vec<u8>, Vec<u8>) {
+        let mut rng = SessionRng::from_seed(21);
+        let model_id = ModelId::new("owner/mbnet");
+        let key = AeadKey::generate(&mut rng);
+        let mut model_bytes = vec![0u8; 300];
+        rng.fill_bytes(&mut model_bytes);
+        let blob = encrypt_model(&model_id, &model_bytes, &key, &mut rng);
+        (model_id, key, model_bytes, blob)
+    }
+
+    #[test]
+    fn encrypt_model_writes_the_sealed_box_wire_format() {
+        let (model_id, key, model_bytes, _) = sealed_model();
+        let blob = encrypt_model(&model_id, &model_bytes, &key, &mut SessionRng::from_seed(8));
+        let sealed = SealedBox::seal(
+            &Aes128Gcm::new(&key),
+            &mut SessionRng::from_seed(8),
+            &model_bytes,
+            model_id.as_str().as_bytes(),
+        );
+        assert_eq!(blob, sealed.to_bytes());
+        assert_eq!(
+            decrypt_model(&model_id, sealed.to_bytes(), &key).unwrap(),
+            model_bytes
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The model blob comes from untrusted storage.  Truncation into
+        /// each region of it (nonce, AAD length, AAD, body, tag), a bit flip
+        /// in each, its AAD length set to `0x7fffffff` or `u32::MAX`, and
+        /// appended bytes: every mutant is refused with `ModelDecryption`,
+        /// without a panic.
+        #[test]
+        fn mutated_model_blobs_are_refused(
+            region in 0usize..5,
+            offset: u64,
+            bit in 0u32..8,
+            appended in 1usize..40,
+        ) {
+            let (model_id, key, _, blob) = sealed_model();
+            let header = NONCE_LEN + 4 + model_id.as_str().len();
+            let body_end = blob.len() - TAG_LEN;
+            let (name, range) = [
+                ("nonce", 0..NONCE_LEN),
+                ("AAD length", NONCE_LEN..NONCE_LEN + 4),
+                ("AAD", NONCE_LEN + 4..header),
+                ("body", header..body_end),
+                ("tag", body_end..blob.len()),
+            ][region].clone();
+            let at = range.start + (offset % range.len() as u64) as usize;
+            let mut flipped = blob.clone();
+            flipped[at] ^= 1 << bit;
+            let mut mutants = vec![
+                (format!("truncated to {at} bytes, in the {name}"), blob[..at].to_vec()),
+                (format!("bit {bit} of byte {at} flipped, in the {name}"), flipped),
+                (format!("{appended} bytes appended"), [&blob[..], &vec![0xA5; appended]].concat()),
+            ];
+            for length in [0x7fff_ffff, u32::MAX] {
+                let mut claimed = blob.clone();
+                claimed[NONCE_LEN..NONCE_LEN + 4].copy_from_slice(&length.to_be_bytes());
+                mutants.push((format!("AAD length {length:#x}"), claimed));
+            }
+            for (mutation, mutant) in mutants {
+                let opened = std::panic::catch_unwind(|| decrypt_model(&model_id, mutant, &key));
+                prop_assert!(
+                    matches!(opened, Ok(Err(RuntimeError::ModelDecryption))),
+                    "{}: {:?}",
+                    mutation,
+                    opened.map(|result| result.map(|plaintext| plaintext.len()))
+                );
+            }
+        }
     }
 
     #[test]

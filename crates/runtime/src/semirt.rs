@@ -322,12 +322,13 @@ impl SemirtInstance {
                 }
                 _ => {
                     // OC_LOAD_MODEL: bring the encrypted blob into untrusted
-                    // memory, copy it into the enclave, decrypt and
-                    // deserialize it (MODEL_LOAD), replacing the previous
-                    // model under the lock.
+                    // memory and copy it into the enclave (the fetch's copy),
+                    // decrypt it in that copy and deserialize it
+                    // (MODEL_LOAD), replacing the previous model under the
+                    // lock.
                     let encrypted = self.model_fetcher.fetch_encrypted_model(&request.model)?;
                     stages.push(ServingStage::ModelLoad);
-                    let plaintext = decrypt_model(&request.model, &encrypted, &model_key)?;
+                    let plaintext = decrypt_model(&request.model, encrypted, &model_key)?;
                     stages.push(ServingStage::ModelDecrypt);
                     let loaded = self
                         .config
