@@ -1108,20 +1108,6 @@ pub fn table4_fnpacker_sessions(seed: u64) -> Report {
     report
 }
 
-/// Time-series points (for plotting Fig. 13-style curves): windowed mean
-/// latency under the MMPP workload for one strategy.
-#[must_use]
-pub fn fig13_latency_curve(
-    kind: ModelKind,
-    strategy: ServingStrategy,
-    seed: u64,
-) -> Vec<(SimTime, f64)> {
-    let result = run_mmpp(kind, strategy, 1, seed);
-    result
-        .latency_series
-        .windowed_mean(SimDuration::from_secs(20))
-}
-
 // ---------------------------------------------------------------------------
 // Self-timing benchmark harness — the BENCH_sim_engine.json perf trajectory
 // ---------------------------------------------------------------------------
@@ -1554,12 +1540,6 @@ mod tests {
             "One-to-one m3 {one_to_one_m3:.2}s should exceed FnPacker {fnpacker_m3:.2}s"
         );
         assert!(one_to_one.cold_starts > fnpacker.cold_starts);
-    }
-
-    #[test]
-    fn fig13_curve_produces_points() {
-        let curve = fig13_latency_curve(ModelKind::DsNet, ServingStrategy::Sesemi, 8);
-        assert!(curve.len() > 10);
     }
 
     /// The E3 acceptance bar: on the Zipf multi-tenant mix, warm-value

@@ -11,11 +11,11 @@
 //! a cold-start storm queues behind the trust plane exactly as it would in a
 //! real deployment.
 //!
-//! Requests shard to a home replica by user (`user_index % replicas`, the
-//! simulator's view of the `KS_R`-sharded
-//! [`ReplicatedKeyService`](sesemi_keyservice::ReplicatedKeyService)); when
-//! the home replica is dead the provision walks the deterministic failover
-//! order (next alive index, wrapping).  A
+//! The replica pool exists only in the simulator: the real path runs one
+//! KeyService enclave, as the paper does.  Requests shard to a home replica
+//! by user (`user_index % replicas`); when the home replica is dead the
+//! provision walks the deterministic failover order (next alive index,
+//! wrapping).  A
 //! [`Fault::KeyServiceCrash`](crate::cluster::Fault) kills a replica
 //! mid-run: provisions in flight on the victim re-resolve against a
 //! surviving peer (counted `keyservice_failovers`), and if no replica

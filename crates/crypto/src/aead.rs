@@ -47,16 +47,6 @@ impl AeadKey {
     pub fn as_bytes(&self) -> &[u8; KEY_LEN] {
         &self.bytes
     }
-
-    /// Derives a sub-key bound to a textual `purpose`, e.g. separating the
-    /// request-encryption key from the response-encryption key.
-    #[must_use]
-    pub fn derive_subkey(&self, purpose: &str) -> AeadKey {
-        let okm = crate::hkdf::hkdf(b"sesemi-subkey", &self.bytes, purpose.as_bytes(), KEY_LEN);
-        let mut bytes = [0u8; KEY_LEN];
-        bytes.copy_from_slice(&okm);
-        AeadKey { bytes }
-    }
 }
 
 impl std::fmt::Debug for AeadKey {
@@ -284,13 +274,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
-    }
-
-    #[test]
-    fn subkey_derivation_is_purpose_separated() {
-        let key = AeadKey::from_bytes([9u8; 16]);
-        assert_ne!(key.derive_subkey("request"), key.derive_subkey("response"));
-        assert_eq!(key.derive_subkey("request"), key.derive_subkey("request"));
     }
 
     #[test]

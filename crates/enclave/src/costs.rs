@@ -43,11 +43,6 @@ pub struct EnclaveCostModel {
     /// Additional fraction of quote latency per concurrent quote generation
     /// (Fig. 16).
     pub quote_concurrency_penalty: f64,
-    /// Cost of a single ECALL / OCALL transition (enclave boundary crossing).
-    pub ecall_transition: SimDuration,
-    /// AEAD throughput inside the enclave, bytes per second, used to price
-    /// model / request decryption of full-size payloads.
-    pub aead_bytes_per_sec: f64,
 }
 
 impl EnclaveCostModel {
@@ -63,8 +58,6 @@ impl EnclaveCostModel {
                 init_concurrency_penalty: 0.22,
                 quote_base: SimDuration::from_millis(60),
                 quote_concurrency_penalty: 0.60,
-                ecall_transition: SimDuration::from_micros(8),
-                aead_bytes_per_sec: 1.2e9,
             },
             // Calibration: Fig. 15b (SGX1 init), Fig. 16b (EPID quotes).
             SgxVersion::Sgx1 => EnclaveCostModel {
@@ -73,8 +66,6 @@ impl EnclaveCostModel {
                 init_concurrency_penalty: 0.35,
                 quote_base: SimDuration::from_millis(450),
                 quote_concurrency_penalty: 0.45,
-                ecall_transition: SimDuration::from_micros(10),
-                aead_bytes_per_sec: 0.9e9,
             },
         }
     }
@@ -103,19 +94,6 @@ impl EnclaveCostModel {
         let concurrency =
             1.0 + self.quote_concurrency_penalty * concurrent_quotes.saturating_sub(1) as f64;
         self.quote_base.mul_f64(concurrency)
-    }
-
-    /// Latency of an ECALL or OCALL boundary crossing.
-    #[must_use]
-    pub fn transition(&self) -> SimDuration {
-        self.ecall_transition
-    }
-
-    /// Latency of authenticated encryption or decryption of `bytes` bytes
-    /// inside the enclave.
-    #[must_use]
-    pub fn aead_processing(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.aead_bytes_per_sec)
     }
 }
 
@@ -190,14 +168,6 @@ mod tests {
             verification_latency(AttestationScheme::Epid)
                 > verification_latency(AttestationScheme::EcdsaDcap)
         );
-    }
-
-    #[test]
-    fn aead_cost_is_linear_in_bytes() {
-        let model = EnclaveCostModel::for_version(SgxVersion::Sgx2);
-        let one = model.aead_processing(1_000_000);
-        let ten = model.aead_processing(10_000_000);
-        assert!((ten.as_secs_f64() / one.as_secs_f64() - 10.0).abs() < 0.01);
     }
 
     #[test]

@@ -35,9 +35,6 @@ pub enum EnclaveError {
     ChannelError(String),
     /// Cryptographic failure surfaced from `sesemi-crypto`.
     Crypto(sesemi_crypto::CryptoError),
-    /// Sealed data could not be unsealed (wrong enclave identity or tampered
-    /// blob).
-    UnsealFailed,
 }
 
 impl fmt::Display for EnclaveError {
@@ -66,7 +63,6 @@ impl fmt::Display for EnclaveError {
             }
             EnclaveError::ChannelError(reason) => write!(f, "secure channel error: {reason}"),
             EnclaveError::Crypto(err) => write!(f, "crypto error: {err}"),
-            EnclaveError::UnsealFailed => write!(f, "sealed blob could not be unsealed"),
         }
     }
 }

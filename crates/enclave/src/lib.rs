@@ -44,7 +44,6 @@ pub mod error;
 pub mod measurement;
 pub mod platform;
 pub mod ratls;
-pub mod sealed;
 
 pub use attest::{AttestationAuthority, Quote, QuoteVerifier};
 pub use costs::EnclaveCostModel;

@@ -31,15 +31,6 @@ impl SgxVersion {
             SgxVersion::Sgx2 => 64 * 1024 * 1024 * 1024,
         }
     }
-
-    /// Attestation scheme used by this generation.
-    #[must_use]
-    pub fn attestation_scheme(self) -> crate::attest::AttestationScheme {
-        match self {
-            SgxVersion::Sgx1 => crate::attest::AttestationScheme::Epid,
-            SgxVersion::Sgx2 => crate::attest::AttestationScheme::EcdsaDcap,
-        }
-    }
 }
 
 /// A single machine's SGX capability: generation, EPC, physical cores, and a
@@ -92,13 +83,6 @@ impl SgxPlatform {
         Self::new(SgxVersion::Sgx2, 12, platform_id)
     }
 
-    /// The paper's SGX1 evaluation node: Xeon W-1290P, 10 physical cores,
-    /// 128 MB EPC.
-    #[must_use]
-    pub fn paper_sgx1_node(platform_id: impl Into<String>) -> Self {
-        Self::new(SgxVersion::Sgx1, 10, platform_id)
-    }
-
     /// Shared handle to this node's EPC manager.
     #[must_use]
     pub fn epc(&self) -> Arc<EpcManager> {
@@ -125,22 +109,6 @@ mod tests {
         assert_eq!(sgx2.version, SgxVersion::Sgx2);
         assert_eq!(sgx2.physical_cores, 12);
         assert_eq!(sgx2.epc().capacity_bytes(), 64 * 1024 * 1024 * 1024);
-
-        let sgx1 = SgxPlatform::paper_sgx1_node("node-2");
-        assert_eq!(sgx1.version, SgxVersion::Sgx1);
-        assert_eq!(sgx1.epc().capacity_bytes(), 128 * 1024 * 1024);
-    }
-
-    #[test]
-    fn attestation_scheme_follows_generation() {
-        assert_eq!(
-            SgxVersion::Sgx1.attestation_scheme(),
-            crate::attest::AttestationScheme::Epid
-        );
-        assert_eq!(
-            SgxVersion::Sgx2.attestation_scheme(),
-            crate::attest::AttestationScheme::EcdsaDcap
-        );
     }
 
     #[test]

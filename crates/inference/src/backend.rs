@@ -92,7 +92,7 @@ impl Framework {
                     model_id: model.id.clone(),
                     framework: self,
                     transformed,
-                    arena: vec![0.0; arena_len],
+                    _arena: vec![0.0; arena_len],
                     executions: 0,
                 }
             }
@@ -100,7 +100,7 @@ impl Framework {
                 model_id: model.id.clone(),
                 framework: self,
                 transformed: Vec::new(),
-                arena: vec![0.0; arena_len],
+                _arena: vec![0.0; arena_len],
                 executions: 0,
             },
         }
@@ -199,7 +199,11 @@ pub struct ModelRuntime {
     model_id: ModelId,
     framework: Framework,
     transformed: Vec<Matrix>,
-    arena: Vec<f32>,
+    /// The activation arena `RUNTIME_INIT` allocates.  Execution allocates
+    /// its own activations, so nothing reads it; it is held because
+    /// dropping it changes how the allocator reuses the weights' memory
+    /// between set-ups, which slows the full-size model's cold path.
+    _arena: Vec<f32>,
     executions: u64,
 }
 
@@ -288,12 +292,6 @@ impl ModelRuntime {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
-    }
-
-    /// Clears the activation arena (used by the strong-isolation mode which
-    /// wipes per-request state after every invocation, paper §V).
-    pub fn clear_arena(&mut self) {
-        self.arena.fill(0.0);
     }
 }
 
@@ -491,18 +489,5 @@ mod tests {
             .model_load(&ModelId::new("x"), b"definitely not a model")
             .unwrap_err();
         assert!(matches!(err, InferenceError::MalformedModel(_)));
-    }
-
-    #[test]
-    fn clear_arena_resets_scratch_space() {
-        let (id, bytes) = scaled_model(ModelKind::MbNet);
-        let model = Framework::Tflm.model_load(&id, &bytes).unwrap();
-        let mut rt = Framework::Tflm.runtime_init(&model);
-        let input = vec![0.3f32; model.graph().input_dim];
-        rt.model_exec(&model, &input).unwrap();
-        rt.clear_arena();
-        // Still usable after clearing.
-        rt.model_exec(&model, &input).unwrap();
-        assert_eq!(rt.executions(), 2);
     }
 }

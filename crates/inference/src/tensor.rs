@@ -33,16 +33,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a zero matrix.
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {

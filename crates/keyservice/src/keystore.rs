@@ -281,6 +281,9 @@ impl KeyStore {
 mod tests {
     use super::*;
     use crate::messages::{OwnerRequest, UserRequest};
+    use crate::mutation::{mutate, Mutation};
+    use proptest::prelude::*;
+    use sesemi_crypto::aead::NONCE_LEN;
     use sesemi_crypto::rng::SessionRng;
     use sesemi_enclave::CodeIdentity;
 
@@ -659,6 +662,104 @@ mod tests {
             w.store.handle_user_request(w.user, &add_req),
             Err(KeyServiceError::Conflict(_))
         ));
+    }
+
+    fn counts(store: &KeyStore) -> [usize; 4] {
+        [
+            store.registered_parties(),
+            store.registered_models(),
+            store.registered_request_keys(),
+            store.grants(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A sealed owner or user payload mangled on its way to the
+        /// KeyService is refused as `InvalidPayload` and changes nothing: no
+        /// count moves and provisioning answers as before, so a mutated
+        /// `RevokeAccess` revokes nothing and a mutated `GrantAccess` grants
+        /// nothing.  The genuine payload then does change the answer.
+        #[test]
+        fn mutated_sealed_payloads_are_refused_and_change_nothing(
+            payload in 0usize..4,
+            kind in 0usize..6,
+            at: usize,
+            len in 1usize..200,
+            bytes: [u8; 200],
+        ) {
+            let mut w = world();
+            let model = ModelId::new("diagnosis");
+            let granted = enclave_id("semirt");
+            let other = enclave_id("semirt-2");
+            provision_setup(&mut w, "diagnosis", granted);
+            // The user's request key for `other`, so a grant for it would show.
+            let add_req = UserRequest::AddRequestKey {
+                model: model.clone(),
+                enclave: other,
+                request_key: key(21),
+            }
+            .seal(&w.user_key, &mut w.rng);
+            w.store.handle_user_request(w.user, &add_req).unwrap();
+
+            // Each payload, when genuine, changes provisioning's answer.
+            let sealed = match payload {
+                0 => OwnerRequest::AddModelKey {
+                    model: model.clone(),
+                    model_key: key(11),
+                }
+                .seal(&w.owner_key, &mut w.rng),
+                1 => OwnerRequest::GrantAccess {
+                    model: model.clone(),
+                    enclave: other,
+                    user: w.user,
+                }
+                .seal(&w.owner_key, &mut w.rng),
+                2 => OwnerRequest::RevokeAccess {
+                    model: model.clone(),
+                    enclave: granted,
+                    user: w.user,
+                }
+                .seal(&w.owner_key, &mut w.rng),
+                _ => UserRequest::AddRequestKey {
+                    model: model.clone(),
+                    enclave: granted,
+                    request_key: key(22),
+                }
+                .seal(&w.user_key, &mut w.rng),
+            };
+            let from_owner = payload < 3;
+            let submit = |w: &mut World, bytes: &[u8]| {
+                if from_owner {
+                    w.store.handle_owner_request(w.owner, bytes)
+                } else {
+                    w.store.handle_user_request(w.user, bytes)
+                }
+            };
+            let answers = |w: &World| {
+                [granted, other].map(|enclave| w.store.key_provisioning(w.user, &model, enclave))
+            };
+            let mutation = [
+                Mutation::Truncate,
+                Mutation::FlipBit,
+                Mutation::Length { offset: NONCE_LEN, value: 0x7fff_ffff },
+                Mutation::Length { offset: NONCE_LEN, value: u32::MAX },
+                Mutation::Extend,
+                Mutation::Random,
+            ][kind];
+
+            let (counts_before, answers_before) = (counts(&w.store), answers(&w));
+            let result = submit(&mut w, &mutate(&sealed, mutation, at, &bytes[..len]));
+            prop_assert!(
+                result == Err(KeyServiceError::InvalidPayload),
+                "{mutation:?} of payload {payload}: {result:?}"
+            );
+            prop_assert_eq!(counts(&w.store), counts_before);
+            prop_assert_eq!(answers(&w), answers_before.clone());
+
+            prop_assert_eq!(submit(&mut w, &sealed), Ok(()));
+            prop_assert!(answers(&w) != answers_before, "payload {payload} changed nothing");
+        }
     }
 
     #[test]

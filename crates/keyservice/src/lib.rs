@@ -22,12 +22,9 @@
 //! * [`messages`] — the encrypted request payloads exchanged with owners and
 //!   users (sealed under their long-term identity keys).
 //! * [`service`] — the connection-level service: RA-TLS endpoint, per-thread
-//!   TCS accounting, resumption tickets for attested enclaves, latency model
-//!   for provisioning calls.
+//!   TCS accounting, resumption tickets for attested enclaves.
 //! * [`client`] — owner-side and user-side helpers that build the encrypted
 //!   payloads and drive the registration workflow.
-//! * [`replicated`] — a mesh of mutually attested KeyService replicas with
-//!   sealed-state sync, user sharding and deterministic failover.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +33,11 @@ pub mod client;
 pub mod error;
 pub mod keystore;
 pub mod messages;
-pub mod replicated;
+#[cfg(test)]
+mod mutation;
 pub mod service;
 
 pub use client::{OwnerClient, UserClient};
 pub use error::KeyServiceError;
 pub use keystore::{KeyStore, PartyId};
-pub use replicated::ReplicatedKeyService;
 pub use service::KeyService;

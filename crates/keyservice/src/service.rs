@@ -16,7 +16,7 @@
 //! connections resume from the ticket ([`KeyService::accept_resumption`])
 //! without a quote.  The KeyService keeps no session table: a ticket is
 //! valid for as long as this KeyService instance lives, and any other
-//! instance, a restarted one or a replica, declines it.
+//! instance, a restarted one included, declines it.
 
 use crate::error::KeyServiceError;
 use crate::keystore::{KeyStore, PartyId};
@@ -231,27 +231,6 @@ impl KeyService {
         Ok((secret, Measurement::from_digest(Digest(measurement))))
     }
 
-    /// Accepts a connection from a *peer replica*: like
-    /// [`KeyService::accept_connection`], but the initiator must present a
-    /// quote whose measurement equals `expected` — a mesh only admits peers
-    /// running identical KeyService code.
-    pub fn accept_peer_connection<R: RngCore>(
-        &self,
-        hello: &InitiatorHello,
-        expected: &Measurement,
-        rng: &mut R,
-    ) -> Result<(ResponderHello, ConnectionId), KeyServiceError> {
-        match hello.quote.as_ref().map(|quote| quote.measurement) {
-            Some(measurement) if measurement == *expected => self.accept_connection(hello, rng),
-            Some(_) => Err(KeyServiceError::AttestationFailed(
-                "peer measurement does not match the replica set".to_string(),
-            )),
-            None => Err(KeyServiceError::AttestationFailed(
-                "peer replicas must attest".to_string(),
-            )),
-        }
-    }
-
     /// Handles one encrypted record on a connection and returns the encrypted
     /// response record.
     ///
@@ -285,8 +264,9 @@ impl KeyService {
         Ok(conn.channel.send(&encode_response(&response)))
     }
 
-    /// Handles an already-decoded request (used by in-process callers and by
-    /// the simulator, which skips the record framing but not the logic).
+    /// Handles an already-decoded request: the same logic as
+    /// [`KeyService::handle_record`] without the record framing.  Only tests
+    /// call it, to inject requests no well-formed client sends.
     pub fn handle_request(
         &self,
         request: Request,
@@ -612,6 +592,7 @@ mod tests {
         assert_eq!(codes.len(), errors.len());
     }
 
+    use crate::mutation::{mutate, Mutation};
     use proptest::prelude::*;
     use sesemi_crypto::rng::SessionRng;
     use sesemi_enclave::attest::{AttestationAuthority, AttestationScheme};
@@ -997,27 +978,6 @@ mod tests {
         }));
         let response = service.handle_record(second_connection, &record).unwrap();
         assert!(second.recv(&response).is_ok());
-    }
-
-    /// One way the host may mangle a resumption ticket.
-    #[derive(Clone, Copy, Debug)]
-    enum Mutation {
-        Truncate,
-        FlipBit,
-        Extend,
-        Random,
-    }
-
-    fn mutate(ticket: &[u8], mutation: Mutation, at: usize, random: &[u8]) -> Vec<u8> {
-        let mut ticket = ticket.to_vec();
-        let index = at % ticket.len();
-        match mutation {
-            Mutation::Truncate => ticket.truncate(index),
-            Mutation::FlipBit => ticket[index] ^= 1 << (at % 8),
-            Mutation::Extend => ticket.extend_from_slice(random),
-            Mutation::Random => ticket = random.to_vec(),
-        }
-        ticket
     }
 
     proptest! {

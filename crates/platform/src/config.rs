@@ -26,6 +26,7 @@ pub struct PlatformConfig {
     pub dispatch_overhead: SimDuration,
 }
 
+/// Table V's configuration for the paper's SGX2 nodes (64 GB invoker memory).
 impl Default for PlatformConfig {
     fn default() -> Self {
         PlatformConfig {
@@ -38,23 +39,6 @@ impl Default for PlatformConfig {
 }
 
 impl PlatformConfig {
-    /// Table V configuration for the paper's SGX2 nodes (64 GB invoker
-    /// memory).
-    #[must_use]
-    pub fn paper_sgx2() -> Self {
-        PlatformConfig::default()
-    }
-
-    /// Table V configuration for the paper's SGX1 nodes (12.5 GB invoker
-    /// memory).
-    #[must_use]
-    pub fn paper_sgx1() -> Self {
-        PlatformConfig {
-            invoker_memory_bytes: (12.5 * 1024.0 * 1024.0 * 1024.0) as u64,
-            ..PlatformConfig::default()
-        }
-    }
-
     /// Restricts the invoker memory, used by the multi-node evaluation to
     /// "configure the invoker memory such that the total number of enclave
     /// threads on a node never exceeds the number of physical cores" (§VI-C).
@@ -83,14 +67,6 @@ mod tests {
         assert_eq!(config.container_keep_alive, SimDuration::from_secs(180));
         assert_eq!(config.invoker_memory_bytes, 64 * 1024 * 1024 * 1024);
         assert!(config.sandbox_cold_start > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn sgx1_profile_has_smaller_invoker_memory() {
-        assert!(
-            PlatformConfig::paper_sgx1().invoker_memory_bytes
-                < PlatformConfig::paper_sgx2().invoker_memory_bytes
-        );
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! SeMIRT's contribution is deciding which stages each request actually has
 //! to pay for.  The runtime records which stages it performed in an
-//! [`InvocationReport`]; the benchmark harness maps those stages onto
-//! calibrated durations to regenerate the paper's latency figures, and unit
-//! tests assert the classification logic matches §IV-B.
-
-use sesemi_sim::SimDuration;
+//! [`InvocationReport`]; the cluster simulator builds and prices its own
+//! stage lists and classifies them with [`InvocationReport::classify`], and
+//! unit tests assert the classification logic matches §IV-B.
 
 /// The model-serving stages of a SeSeMI invocation (Fig. 4), excluding the
 /// platform-level sandbox initialization which SeMIRT cannot influence.
@@ -144,17 +142,6 @@ impl InvocationReport {
     pub fn performed(&self, stage: ServingStage) -> bool {
         self.stages.contains(&stage)
     }
-
-    /// Maps the performed stages onto durations using the provided pricing
-    /// function and returns the total.
-    pub fn total_duration(
-        &self,
-        mut price: impl FnMut(ServingStage) -> SimDuration,
-    ) -> SimDuration {
-        self.stages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, stage| acc + price(*stage))
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn total_duration_sums_stage_prices() {
+    fn performed_reports_only_the_recorded_stages() {
         let report = InvocationReport {
             path: InvocationPath::Warm,
             stages: vec![ServingStage::ModelLoad, ServingStage::ModelExec],
@@ -244,12 +231,6 @@ mod tests {
             model_cache_hit: false,
             runtime_reused: false,
         };
-        let total = report.total_duration(|stage| match stage {
-            ServingStage::ModelLoad => SimDuration::from_millis(10),
-            ServingStage::ModelExec => SimDuration::from_millis(100),
-            _ => SimDuration::ZERO,
-        });
-        assert_eq!(total, SimDuration::from_millis(110));
         assert!(report.performed(ServingStage::ModelLoad));
         assert!(!report.performed(ServingStage::KeyFetch));
     }

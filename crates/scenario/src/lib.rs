@@ -410,13 +410,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the scenario's whole fault plan.
-    #[must_use]
-    pub fn fault_plan(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Injects a whole-node crash at `at` (see
     /// [`sesemi::cluster::Fault::NodeCrash`]).  The target must lie within
     /// the configured pool bounds — validated by

@@ -283,20 +283,6 @@ impl GbSecondMeter {
         self.peak_bytes = self.peak_bytes.max(bytes);
     }
 
-    /// Adds `bytes` to the tracked total at time `now`.  Saturates at
-    /// `u64::MAX`, mirroring [`GbSecondMeter::release_memory`]'s floor at
-    /// zero, so an accounting bug degrades instead of panicking mid-run.
-    pub fn add_memory(&mut self, now: SimTime, bytes: u64) {
-        let new_total = self.current_bytes.saturating_add(bytes);
-        self.set_memory(now, new_total);
-    }
-
-    /// Releases `bytes` from the tracked total at time `now`.
-    pub fn release_memory(&mut self, now: SimTime, bytes: u64) {
-        let new_total = self.current_bytes.saturating_sub(bytes);
-        self.set_memory(now, new_total);
-    }
-
     /// Finalizes the integral at time `now` and returns GB·seconds.
     #[must_use]
     pub fn finish(mut self, now: SimTime) -> f64 {
@@ -453,9 +439,9 @@ mod tests {
     #[test]
     fn gb_second_meter_add_release_and_peak() {
         let mut meter = GbSecondMeter::new();
-        meter.add_memory(SimTime::ZERO, 500_000_000);
-        meter.add_memory(SimTime::from_secs(2), 500_000_000);
-        meter.release_memory(SimTime::from_secs(4), 1_000_000_000);
+        meter.set_memory(SimTime::ZERO, 500_000_000);
+        meter.set_memory(SimTime::from_secs(2), 1_000_000_000);
+        meter.set_memory(SimTime::from_secs(4), 0);
         assert_eq!(meter.peak_bytes(), 1_000_000_000);
         assert_eq!(meter.current_bytes(), 0);
         // 0.5 GB * 2s + 1 GB * 2s = 3 GB-s
@@ -515,23 +501,6 @@ mod tests {
                 (SimTime::from_secs(1_000_000_000), 8.0),
             ]
         );
-    }
-
-    #[test]
-    fn add_memory_saturates_instead_of_overflowing() {
-        let mut meter = GbSecondMeter::new();
-        meter.add_memory(SimTime::ZERO, u64::MAX - 10);
-        meter.add_memory(SimTime::from_secs(1), 1_000);
-        assert_eq!(meter.current_bytes(), u64::MAX);
-        assert_eq!(meter.peak_bytes(), u64::MAX);
-    }
-
-    #[test]
-    fn release_more_than_held_saturates_at_zero() {
-        let mut meter = GbSecondMeter::new();
-        meter.add_memory(SimTime::ZERO, 100);
-        meter.release_memory(SimTime::from_secs(1), 1_000);
-        assert_eq!(meter.current_bytes(), 0);
     }
 
     proptest! {

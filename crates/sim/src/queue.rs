@@ -168,12 +168,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|key| key.at)
-    }
-
     /// Current simulation time (timestamp of the last event delivered by
     /// [`EventQueue::pop`] or [`EventQueue::pop_before`]).
     #[must_use]
@@ -254,7 +248,6 @@ mod tests {
         q.push(SimTime::from_millis(9), ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_millis(5));
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
         q.pop();
         assert_eq!(q.now(), SimTime::from_millis(9));
         assert!(q.is_empty());
@@ -340,10 +333,6 @@ mod tests {
             let (at, _, event) = self.pending.remove(self.next_index()?);
             self.now = at;
             Some((at, event))
-        }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            self.next_index().map(|i| self.pending[i].0)
         }
 
         fn extract(&mut self, predicate: impl Fn(SimTime, &u32) -> bool) -> Vec<(SimTime, u32)> {
@@ -454,7 +443,6 @@ mod tests {
                     }
                 }
                 prop_assert!(q.len() == model.pending.len(), "step {step}: len");
-                prop_assert!(q.peek_time() == model.peek_time(), "step {step}: peek_time");
                 prop_assert!(q.now() == model.now, "step {step}: now");
             }
             let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();

@@ -4,8 +4,9 @@
 //! models with two interactive sessions in which "a set of models (m0 − m4)
 //! are sequentially queried, representing the scenario that a model user
 //! tries out multiple models for his sample data".  Sessions are closed-loop:
-//! the next query is issued only after the previous one completed, so the
-//! simulator drives them via [`InteractiveSession::next_model`].
+//! the next query is issued only after the previous one completed.  The
+//! simulator marks each completion with [`InteractiveSession::advance`] and
+//! issues the model at index [`InteractiveSession::completed`] next.
 
 use sesemi_inference::ModelId;
 use sesemi_sim::SimTime;
@@ -56,12 +57,6 @@ impl InteractiveSession {
         ]
     }
 
-    /// The next model to query, or `None` when the session is finished.
-    #[must_use]
-    pub fn next_model(&self) -> Option<&ModelId> {
-        self.models.get(self.next)
-    }
-
     /// Marks the current query as completed, advancing to the next model.
     pub fn advance(&mut self) {
         if self.next < self.models.len() {
@@ -88,8 +83,8 @@ mod tests {
     fn session_walks_models_in_order() {
         let mut session = InteractiveSession::new("s", SimTime::from_secs(240), models(), 7);
         let mut visited = Vec::new();
-        while let Some(model) = session.next_model().cloned() {
-            visited.push(model.as_str().to_string());
+        while session.completed() < session.models.len() {
+            visited.push(session.models[session.completed()].as_str().to_string());
             session.advance();
         }
         assert_eq!(visited, vec!["m0", "m1", "m2", "m3", "m4"]);
